@@ -1,10 +1,18 @@
-// Batched scenario execution throughput: the MC-yield suite through the
-// ScenarioRunner's batch planner (cross-scenario dies packed into the
-// 8-lane SoA kernel, one workspace sizing per group) versus the same
-// suite with mc_force_scalar (the per-die scalar reference path), at the
-// same thread count.  The planner's contract is byte-identity, so the
-// bench also cross-checks that both variants emit the identical JSONL
-// stream before reporting any speedup.
+// Batched scenario execution throughput, two planner paths:
+//
+//   MC yield     the yield suite through the ScenarioRunner's batch planner
+//                (cross-scenario dies packed into the 8-lane SoA kernel,
+//                one workspace sizing per group) versus the same suite with
+//                mc_force_scalar (the per-die scalar reference path), at
+//                the same thread count;
+//   closed loop  the regression suite's closed-loop specs through the
+//                runner's plant-lane groups versus one run_scenario per
+//                spec (the scalar BuckConverter::run_period plant), both on
+//                one thread and measured in the same run.
+//
+// The planner's contract is byte-identity, so the bench also cross-checks
+// that each pair emits the identical JSONL (and health) streams before
+// reporting any speedup.
 //
 // Writes BENCH_scenario_batch.json; DDL_BENCH_TRIALS repeats the suite to
 // stretch the workload on fast machines.
@@ -26,16 +34,32 @@ struct Measured {
   std::string jsonl;
 };
 
+Measured measured(const std::vector<ddl::scenario::ScenarioResult>& results,
+                  const ddl::analysis::WallTimer& timer) {
+  Measured out;
+  out.wall_ms = timer.elapsed_ms();
+  out.per_sec = 1e3 * static_cast<double>(results.size()) / out.wall_ms;
+  out.jsonl = ddl::scenario::ScenarioRunner::jsonl(results) +
+              ddl::scenario::ScenarioRunner::health_jsonl(results);
+  return out;
+}
+
 Measured run_variant(const std::vector<ddl::scenario::ScenarioSpec>& specs,
                      std::size_t threads) {
   const ddl::scenario::ScenarioRunner runner(threads);
   ddl::analysis::WallTimer timer;
-  const auto results = runner.run(specs);
-  Measured out;
-  out.wall_ms = timer.elapsed_ms();
-  out.per_sec = 1e3 * static_cast<double>(results.size()) / out.wall_ms;
-  out.jsonl = ddl::scenario::ScenarioRunner::jsonl(results);
-  return out;
+  return measured(runner.run(specs), timer);
+}
+
+/// One scenario at a time through run_scenario: the scalar plant path.
+Measured run_one_by_one(const std::vector<ddl::scenario::ScenarioSpec>& specs) {
+  ddl::analysis::WallTimer timer;
+  std::vector<ddl::scenario::ScenarioResult> results;
+  results.reserve(specs.size());
+  for (const auto& spec : specs) {
+    results.push_back(ddl::scenario::run_scenario_guarded(spec).result);
+  }
+  return measured(results, timer);
 }
 
 }  // namespace
@@ -93,7 +117,32 @@ int main() {
   report.set("guardrail_scenario_batch_scenarios_per_sec", batched_t1_per_sec);
   report.set("scenario_batch_speedup_vs_scalar", speedup_t1);
   report.set("scenario_batch_jsonl_identical", identical);
+
+  std::vector<ddl::scenario::ScenarioSpec> closed_loop;
+  for (auto& spec : registry.expand("regression")) {
+    if (spec.mc_dies == 0) {
+      closed_loop.push_back(std::move(spec));
+    }
+  }
+  std::printf("\n==== Closed-loop plant lanes (%zu regression scenarios, "
+              "1 thread) ====\n\n", closed_loop.size());
+  const Measured scalar_loop = run_one_by_one(closed_loop);
+  const Measured lanes = run_variant(closed_loop, 1);
+  const bool lanes_equal = lanes.jsonl == scalar_loop.jsonl;
+  const double lanes_speedup = scalar_loop.wall_ms / lanes.wall_ms;
+  std::printf("  lanes %7.1f ms (%6.1f/sec)  scalar %7.1f ms (%6.1f/sec)  "
+              "speedup %.2fx\n", lanes.wall_ms, lanes.per_sec,
+              scalar_loop.wall_ms, scalar_loop.per_sec, lanes_speedup);
+  std::printf("Lanes and scalar JSONL + health byte-identical: %s\n",
+              lanes_equal ? "yes" : "NO -- PLANT LANES BROKE BYTE-IDENTITY");
+  report.set("closed_loop_scenarios", static_cast<std::uint64_t>(
+                                          closed_loop.size()));
+  report.set("closed_loop_lanes_scenarios_per_sec", lanes.per_sec);
+  report.set("closed_loop_scalar_scenarios_per_sec", scalar_loop.per_sec);
+  report.set("closed_loop_lanes_speedup_vs_scalar", lanes_speedup);
+  report.set("closed_loop_lanes_equal_scalar", lanes_equal);
+
   const auto path = report.write();
   std::printf("report: %s\n", path.c_str());
-  return identical ? 0 : 1;
+  return identical && lanes_equal ? 0 : 1;
 }

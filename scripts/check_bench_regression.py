@@ -60,6 +60,11 @@ SCHEMAS = {
         "scenario_batch_speedup_vs_scalar": lambda v: v > 1.0,
         # And the win must be invisible in the stream -- the whole contract.
         "scenario_batch_jsonl_identical": lambda v: v is True,
+        # Closed-loop plant lanes vs one scalar scenario at a time, both on
+        # one thread in the same run: a same-run ratio, so it catches a
+        # silent fall-back to the scalar plant (~1x) on any host speed.
+        "closed_loop_lanes_speedup_vs_scalar": lambda v: v > 1.5,
+        "closed_loop_lanes_equal_scalar": lambda v: v is True,
     },
     "sandbox_overhead": {
         "guardrail_sandbox_scenarios_per_sec": lambda v: v > 0,

@@ -83,7 +83,19 @@ class BuckConverter {
   void reset();
 
  private:
+  // PlantLanes (plant_lanes.h) integrates run_period's exact arithmetic for
+  // several converters in lockstep, loading and storing this state.
+  friend class PlantLanes;
+
   enum class SwitchState { kHigh, kLow, kDeadTime };
+  /// The switching-period segment lengths run_period integrates, seconds:
+  /// high, then dead, low, dead.
+  struct Segments {
+    double high_s = 0.0;
+    double dead_s = 0.0;
+    double low_s = 0.0;
+  };
+  Segments segments_of(const dpwm::PwmPeriod& period) const noexcept;
   void integrate(double seconds, SwitchState state, double load_a);
 
   BuckParams params_;

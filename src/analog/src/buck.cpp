@@ -79,19 +79,25 @@ void BuckConverter::integrate(double seconds, SwitchState state,
   }
 }
 
+BuckConverter::Segments BuckConverter::segments_of(
+    const dpwm::PwmPeriod& period) const noexcept {
+  Segments seg;
+  seg.dead_s = params_.dead_time_ps * 1e-12;
+  seg.high_s = std::max(0.0, sim::to_ps(period.high_ps) * 1e-12 - seg.dead_s);
+  const double total_s = sim::to_ps(period.period_ps) * 1e-12;
+  seg.low_s = std::max(0.0, total_s - seg.high_s - 2.0 * seg.dead_s);
+  return seg;
+}
+
 void BuckConverter::run_period(const dpwm::PwmPeriod& period, double load_a) {
   last_vmin_ = output_voltage();
   last_vmax_ = last_vmin_;
-  const double dead_s = params_.dead_time_ps * 1e-12;
-  const double high_s =
-      std::max(0.0, sim::to_ps(period.high_ps) * 1e-12 - dead_s);
-  const double total_s = sim::to_ps(period.period_ps) * 1e-12;
-  const double low_s = std::max(0.0, total_s - high_s - 2.0 * dead_s);
+  const Segments seg = segments_of(period);
 
-  integrate(high_s, SwitchState::kHigh, load_a);
-  integrate(dead_s, SwitchState::kDeadTime, load_a);
-  integrate(low_s, SwitchState::kLow, load_a);
-  integrate(dead_s, SwitchState::kDeadTime, load_a);
+  integrate(seg.high_s, SwitchState::kHigh, load_a);
+  integrate(seg.dead_s, SwitchState::kDeadTime, load_a);
+  integrate(seg.low_s, SwitchState::kLow, load_a);
+  integrate(seg.dead_s, SwitchState::kDeadTime, load_a);
 
   // Fixed per-cycle switching loss, drawn from the input rail (gate charge
   // and V/I overlap of the two switch transitions).

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "ddl/analog/adc.h"
@@ -37,6 +38,16 @@ struct LoopMetrics {
   double mean_abs_error_v = 0.0;
   std::uint64_t distinct_duty_words = 0;  ///< > 2-3 suggests limit cycling.
   bool limit_cycling = false;
+};
+
+/// One switching period's controller output: what the pre-plant half of
+/// DigitallyControlledBuck hands the plant, and the post-plant half records.
+struct PeriodStep {
+  std::uint64_t period_index = 0;
+  double load_a = 0.0;
+  int error_code = 0;
+  std::uint64_t duty_word = 0;
+  dpwm::PwmPeriod pwm;
 };
 
 /// Load profile: current demanded at a given switching period.
@@ -69,10 +80,31 @@ class DigitallyControlledBuck {
                           PidController pid, dpwm::DpwmModel& dpwm);
 
   /// Runs `periods` switching periods against the load profile, recording
-  /// one LoopSample each.
+  /// one LoopSample each.  Each period is begin_period, the plant's
+  /// run_period, then end_period.
   void run(std::uint64_t periods, const LoadProfile& load);
 
+  /// The pre-plant half of the next period: load current, ADC sample, PID
+  /// update and DPWM modulation.  The plant must then run `step.pwm` at
+  /// `step.load_a` -- plant().run_period, or an analog::PlantLanes lane,
+  /// which is bit-identical -- before end_period(step).
+  PeriodStep begin_period(const LoadProfile& load);
+
+  /// The post-plant half: records the period's LoopSample from the plant's
+  /// state and notifies the sample observer.
+  void end_period(const PeriodStep& step);
+
   const std::vector<LoopSample>& history() const noexcept { return history_; }
+
+  /// Reserves history for `periods` samples, so a run of known length
+  /// never regrows (and briefly doubles) it.
+  void reserve_history(std::size_t periods) { history_.reserve(periods); }
+
+  /// Moves the history out, leaving it empty; metrics and settling_period
+  /// then see no samples.
+  std::vector<LoopSample> take_history() noexcept {
+    return std::exchange(history_, {});
+  }
   const analog::BuckConverter& plant() const noexcept { return plant_; }
   analog::BuckConverter& plant() noexcept { return plant_; }
 

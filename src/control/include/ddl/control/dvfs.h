@@ -37,10 +37,27 @@ class VoltageModeManager {
                      std::uint64_t hold_periods = 20);
 
   /// Runs `total_periods` of the loop, applying each mode at its period and
-  /// measuring the transition.  Modes must be sorted by at_period.
+  /// measuring the transition.  Modes must be sorted by at_period.  Built
+  /// from the resumable steps below: for every period p < run_length,
+  /// apply_due(p) then one loop period; apply_due(run_length); reports.
   std::vector<TransitionReport> run(DigitallyControlledBuck& loop,
                                     std::uint64_t total_periods,
                                     const LoadProfile& load);
+
+  /// Periods run() simulates: `total_periods`, or up to the last mode when
+  /// the schedule reaches past it.
+  std::uint64_t run_length(std::uint64_t total_periods) const noexcept;
+
+  /// Applies every not-yet-applied mode with at_period <= `period` to the
+  /// loop's reference, in schedule order.  Call before each period's
+  /// pre-plant half, and once with run_length at the end.
+  void apply_due(DigitallyControlledBuck& loop, std::uint64_t period);
+
+  /// Per-transition reports over the loop's history from sample `base`
+  /// on, once apply_due has applied every mode.
+  std::vector<TransitionReport> reports(const DigitallyControlledBuck& loop,
+                                        std::uint64_t base,
+                                        std::uint64_t total_periods) const;
 
   const std::vector<VoltageMode>& schedule() const noexcept {
     return schedule_;
@@ -50,6 +67,8 @@ class VoltageModeManager {
   std::vector<VoltageMode> schedule_;
   double band_v_;
   std::uint64_t hold_periods_;
+  /// The loop's reference just before each applied mode took effect.
+  std::vector<double> previous_vref_;
 };
 
 }  // namespace ddl::control

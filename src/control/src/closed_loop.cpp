@@ -66,31 +66,41 @@ DigitallyControlledBuck::DigitallyControlledBuck(analog::BuckConverter plant,
 void DigitallyControlledBuck::run(std::uint64_t periods,
                                   const LoadProfile& load) {
   for (std::uint64_t i = 0; i < periods; ++i) {
-    const std::uint64_t period_index = next_period_index_++;
-    const double load_a = load(period_index);
+    const PeriodStep step = begin_period(load);
+    plant_.run_period(step.pwm, step.load_a);
+    end_period(step);
+  }
+}
 
-    // Sample -> quantize -> compensate: the duty word for *this* period is
-    // computed from the previous period's output (one-cycle loop latency,
-    // as in real digital controllers).
-    const int error_code = adc_.sample(plant_.output_voltage());
-    const std::uint64_t duty_word = pid_.update(error_code);
+PeriodStep DigitallyControlledBuck::begin_period(const LoadProfile& load) {
+  PeriodStep step;
+  step.period_index = next_period_index_++;
+  step.load_a = load(step.period_index);
 
-    // Modulate and run the power stage through the period.
-    const dpwm::PwmPeriod pwm = dpwm_->generate(
-        static_cast<sim::Time>(period_index) * dpwm_->period_ps(), duty_word);
-    plant_.run_period(pwm, load_a);
+  // Sample -> quantize -> compensate: the duty word for *this* period is
+  // computed from the previous period's output (one-cycle loop latency,
+  // as in real digital controllers).
+  step.error_code = adc_.sample(plant_.output_voltage());
+  step.duty_word = pid_.update(step.error_code);
 
-    LoopSample sample;
-    sample.period_index = period_index;
-    sample.vout = plant_.output_voltage();
-    sample.ripple_v = plant_.last_period_vmax() - plant_.last_period_vmin();
-    sample.error_code = error_code;
-    sample.duty_word = duty_word;
-    sample.load_a = load_a;
-    history_.push_back(sample);
-    if (observer_) {
-      observer_(history_.back());
-    }
+  // Modulate; the caller runs the power stage through the period.
+  step.pwm = dpwm_->generate(
+      static_cast<sim::Time>(step.period_index) * dpwm_->period_ps(),
+      step.duty_word);
+  return step;
+}
+
+void DigitallyControlledBuck::end_period(const PeriodStep& step) {
+  LoopSample sample;
+  sample.period_index = step.period_index;
+  sample.vout = plant_.output_voltage();
+  sample.ripple_v = plant_.last_period_vmax() - plant_.last_period_vmin();
+  sample.error_code = step.error_code;
+  sample.duty_word = step.duty_word;
+  sample.load_a = step.load_a;
+  history_.push_back(sample);
+  if (observer_) {
+    observer_(history_.back());
   }
 }
 

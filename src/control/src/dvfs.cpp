@@ -24,30 +24,47 @@ VoltageModeManager::VoltageModeManager(std::vector<VoltageMode> schedule,
 std::vector<TransitionReport> VoltageModeManager::run(
     DigitallyControlledBuck& loop, std::uint64_t total_periods,
     const LoadProfile& load) {
-  std::vector<TransitionReport> reports;
   const std::uint64_t base = loop.history().size();
-  std::uint64_t done = 0;
+  previous_vref_.clear();
+  const std::uint64_t length = run_length(total_periods);
+  for (std::uint64_t period = 0; period < length; ++period) {
+    apply_due(loop, period);
+    loop.run(1, load);
+  }
+  apply_due(loop, length);
+  return reports(loop, base, total_periods);
+}
 
-  for (std::size_t i = 0; i < schedule_.size(); ++i) {
+std::uint64_t VoltageModeManager::run_length(
+    std::uint64_t total_periods) const noexcept {
+  return schedule_.empty()
+             ? total_periods
+             : std::max(total_periods, schedule_.back().at_period);
+}
+
+void VoltageModeManager::apply_due(DigitallyControlledBuck& loop,
+                                   std::uint64_t period) {
+  while (previous_vref_.size() < schedule_.size() &&
+         schedule_[previous_vref_.size()].at_period <= period) {
+    previous_vref_.push_back(loop.reference_v());
+    loop.set_reference_v(schedule_[previous_vref_.size() - 1].vref_v);
+  }
+}
+
+std::vector<TransitionReport> VoltageModeManager::reports(
+    const DigitallyControlledBuck& loop, std::uint64_t base,
+    std::uint64_t total_periods) const {
+  std::vector<TransitionReport> reports;
+  for (std::size_t i = 0; i < previous_vref_.size(); ++i) {
     const VoltageMode& mode = schedule_[i];
-    if (mode.at_period > done) {
-      loop.run(mode.at_period - done, load);
-      done = mode.at_period;
-    }
-    const double previous_vref = loop.reference_v();
-    loop.set_reference_v(mode.vref_v);
     const std::uint64_t until = i + 1 < schedule_.size()
                                     ? schedule_[i + 1].at_period
                                     : total_periods;
-    if (until > done) {
-      loop.run(until - done, load);
-      done = until;
-    }
 
     // Measure the transition over [at_period, until).
     TransitionReport report;
     report.mode = mode;
-    const double direction = mode.vref_v - previous_vref;
+    const double direction = mode.vref_v - previous_vref_[i];
     std::uint64_t consecutive = 0;
     for (std::uint64_t p = mode.at_period; p < until; ++p) {
       const double vout = loop.history()[base + p].vout;
@@ -64,9 +81,6 @@ std::vector<TransitionReport> VoltageModeManager::run(
       }
     }
     reports.push_back(report);
-  }
-  if (done < total_periods) {
-    loop.run(total_periods - done, load);
   }
   return reports;
 }

@@ -1,24 +1,29 @@
-// Batch planner: routes a suite's Monte-Carlo yield scenarios through the
-// 8-lane mc_batch kernel *across* scenario boundaries.
+// Batch planner: routes a suite's scenarios through shared SIMD kernels
+// *across* scenario boundaries.
 //
-// A yield suite is dominated by scenarios that differ only in seed, fault
-// plan and verdict thresholds -- their kernel parameters (line geometry,
-// mismatch sigma, clock period, corner) are identical.  Run one at a time,
-// each scenario pays its own batch ramp (partial tail blocks, kernel
-// dispatch, workspace sizing); grouped, their dies pack into shared
-// kBatchLanes-wide blocks and the whole group is one batched dispatch.
+// Two kinds of group:
 //
-// Byte-identity contract: a kernel lane's output is a pure function of
-// (kernel params, die seed, die fault) -- lane position and neighbours are
-// invisible -- so grouping dies from different scenarios produces exactly
-// the samples each scenario's solo run would, and the rendered JSONL row
-// is byte-identical to run_scenario()'s for any --jobs value.  Scenarios
-// the planner cannot prove safe (scalar-forced, runtime fault schedules,
-// debug hooks, anything failing validation) fall back to the per-scenario
-// guarded path unchanged.  See DESIGN.md "Batched scenario execution".
+//   MC yield     scenarios that differ only in seed, fault plan and verdict
+//                thresholds share the 8-lane mc_batch kernel's parameters
+//                (line geometry, mismatch sigma, clock period, corner);
+//                their dies pack into shared kBatchLanes-wide blocks and
+//                the whole group is one batched dispatch.
+//   closed loop  up to analog::kPlantLanes closed-loop scenarios run in
+//                lockstep, period by period: each keeps its own line, ADC,
+//                PID, DPWM and supervisor, and analog::PlantLanes
+//                integrates their buck plants side by side in one vector.
+//
+// Byte-identity contract: a kernel lane's output is a pure function of its
+// own inputs -- lane position and neighbours are invisible -- so a grouped
+// scenario produces exactly the row and health events of its solo
+// run_scenario() for any --jobs value.  Scenarios the planner cannot prove
+// safe (scalar-forced, debug hooks, anything failing validation or sizing)
+// take the per-scenario guarded path unchanged.  See DESIGN.md "Batched
+// scenario execution".
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ddl/analysis/mc_batch.h"
@@ -27,12 +32,27 @@
 
 namespace ddl::scenario {
 
-/// True when `spec` may be grouped into a cross-scenario batch: a valid
+/// Upper bound on the summed spec.periods of one closed-loop lane group.
+/// A group keeps every member's loop history alive at once (one 48-byte
+/// control::LoopSample per period, reserved up front), so this caps a
+/// group's sample memory at what one 9000-period scenario alone peaked at
+/// while its history still grew by doubling: 8192 + 16384 samples during
+/// the last regrowth, ~1.2 MB.  A constant, not a knob: a partly filled
+/// vector step costs about what a full one does.
+inline constexpr std::uint64_t kLaneGroupMaxPeriods = 8192 + 16384;
+
+/// True when `spec` may be grouped into an MC-yield batch: a valid
 /// MC-yield scenario (proposed line, power-on delay-cell faults only --
 /// validate() enforces the rest) with no scalar-forcing or debug hooks.
-/// Classification is deterministic, so every layer (runner, campaign
+/// Classification is deterministic, so every layer (runner, campaign,
 /// service coalescer) routes a given spec the same way.
 bool batch_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace);
+
+/// True when `spec` may run in a closed-loop lane group: a valid closed-
+/// loop scenario (mc_dies == 0) with a feasible sizing and no debug hooks
+/// -- the hang/throw/crash injections keep the per-scenario watchdog and
+/// sandbox attempt path.
+bool lane_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace);
 
 /// The batched-kernel experiment for one MC-yield scenario, *without*
 /// faults: the trial-indexed path expands spec faults per trial, the
@@ -48,9 +68,13 @@ analysis::McBatchSpec mc_yield_kernel_spec(
 void finish_mc_yield(const ScenarioSpec& spec, std::vector<double> samples,
                      ScenarioResult& result);
 
-/// One planner group: spec indices (ascending) whose scenarios share
-/// kernel parameters and may pack into the same batched dispatch.
+/// One planner group: spec indices (ascending) that run as one batched
+/// dispatch -- MC-yield scenarios sharing kernel parameters, or up to
+/// analog::kPlantLanes closed-loop scenarios (summed periods at most
+/// kLaneGroupMaxPeriods) in lockstep plant lanes.
 struct BatchGroup {
+  enum class Kind { kMcYield, kClosedLoop };
+  Kind kind = Kind::kMcYield;
   std::vector<std::size_t> members;
 };
 
@@ -61,17 +85,25 @@ struct BatchPlan {
   std::vector<std::size_t> scalar;
 };
 
-/// Classifies every spec and groups the eligible ones by kernel
-/// parameters.  Groups are ordered by first member; deterministic for a
-/// given spec list.
+/// Classifies every spec and groups the eligible ones: MC-yield specs by
+/// kernel parameters, closed-loop specs packed longest first (so lanes
+/// finish together) under the kPlantLanes / kLaneGroupMaxPeriods bounds.
+/// A closed-loop spec left alone stays scalar.  Groups are ordered by
+/// first member; deterministic for a given spec list.
 BatchPlan plan_batches(const std::vector<ScenarioSpec>& specs,
                        ScenarioWorkspace& workspace);
 
-/// Runs one planned group through a single batched dispatch
-/// (monte_carlo_batched_dies) and writes each member's result into
-/// `results[index]`.  Any group-level failure degrades every member to the
-/// per-scenario guarded path -- never a lost row.  `threads` as in
-/// mc_batch (0 = default pool).
+/// The plan as dispatch units: each group's members, and each scalar spec
+/// on its own, ordered by first member.
+std::vector<std::vector<std::size_t>> dispatch_units(const BatchPlan& plan);
+
+/// Runs one planned group and writes each member's result into
+/// `results[index]`.  An MC group is one monte_carlo_batched_dies dispatch
+/// (`threads` as in mc_batch, 0 = default pool); a group-level failure
+/// degrades every member to the per-scenario guarded path -- never a lost
+/// row.  A closed-loop group runs its members in lockstep on the calling
+/// thread; an exception in one member becomes that member's guarded error
+/// row while the others run on.
 void run_batch_group(const std::vector<ScenarioSpec>& specs,
                      const BatchGroup& group, ScenarioWorkspace& workspace,
                      std::size_t threads, std::vector<ScenarioResult>& results);

@@ -19,6 +19,9 @@
 //               `verdict:"error"` row (ScenarioError::kTimeout) and the
 //               batch keeps going.  Exceptions are captured per scenario by
 //               `run_scenario_guarded` and are not retried (deterministic).
+//               The pending specs are planned first (batch_plan.h): each
+//               MC-yield group or closed-loop lane group is one dispatch
+//               unit, journaled member by member when it completes.
 //
 //   determinism the journal is completion-ordered (a durability log, not
 //               the artifact); the final result and health streams are

@@ -78,6 +78,12 @@ struct JournalState {
 /// of scenarios whose result line committed are restored (WAL ordering).
 JournalState load_journal(const std::string& dir);
 
+/// Rewrites the health journal without the lines load_journal skips --
+/// events of scenarios whose result line never committed, and a torn tail
+/// -- so the re-run of such a scenario does not append its events a second
+/// time for the next resume to serve.
+void drop_orphan_health(const std::string& dir, const JournalState& state);
+
 /// Truncates a journal file to its last complete line: a torn tail must be
 /// cut *before* appending resumes, or the first new record would
 /// concatenate onto it and corrupt both.

@@ -86,16 +86,13 @@ class ScenarioExecutor {
   ScenarioExecutor(const ScenarioExecutor&) = delete;
   ScenarioExecutor& operator=(const ScenarioExecutor&) = delete;
 
-  /// Runs one scenario to a structured row.  Never throws; every failure
+  /// Runs one dispatch unit in spec order.  Never throws; every failure
   /// mode (crash, limit, timeout, lost worker) comes back as an error row.
-  ExecutedScenario run_one(const ScenarioSpec& spec);
-
-  /// Runs one dispatch unit in spec order.  A single-spec unit follows the
-  /// full watchdog/retry policy; a multi-spec unit is a batch-coalesced
-  /// group (one worker, one batched dispatch) whose members degrade to
-  /// per-scenario retries if the group's worker dies.  Returns one entry
-  /// per spec, in order -- or an empty vector when interrupt() withdrew
-  /// the unit (check interrupted()).
+  /// A single-spec unit follows the full watchdog/retry policy; a
+  /// multi-spec unit is a planned batch (one worker, planned into batch
+  /// groups there) whose members degrade to per-scenario retries if the
+  /// group's worker dies.  Returns one entry per spec, in order -- or an
+  /// empty vector when interrupt() withdrew the unit (check interrupted()).
   std::vector<ExecutedScenario> run_unit(const std::vector<ScenarioSpec>& specs);
 
   /// Kills the current worker's process group (cancel support).  The

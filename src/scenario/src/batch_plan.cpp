@@ -1,12 +1,17 @@
 #include "ddl/scenario/batch_plan.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <utility>
 
+#include "ddl/analog/plant_lanes.h"
 #include "ddl/analysis/monte_carlo.h"
+#include "closed_loop_run.h"
 
 namespace ddl::scenario {
 namespace {
@@ -30,29 +35,42 @@ GroupKey group_key(const ScenarioSpec& spec,
           std::bit_cast<std::uint64_t>(spec.corner.temperature_c)};
 }
 
-}  // namespace
-
-bool batch_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace) {
-  if (spec.mc_dies == 0 || spec.mc_force_scalar || spec.debug_throw ||
-      spec.debug_hang_ms > 0) {
+/// The shared half of both eligibility rules: no test hooks, a feasible
+/// sizing (an infeasible one must surface as the guarded path's error row)
+/// and a valid spec (an invalid one must render its invalid_spec row via
+/// the scalar path).
+bool plannable(const ScenarioSpec& spec, ScenarioWorkspace& workspace) {
+  if (spec.debug_throw || spec.debug_hang_ms > 0 || !spec.debug_crash.empty()) {
     return false;
   }
   const ScenarioWorkspace::Sizing& sizing = workspace.sizing_for(spec);
-  if (!sizing.feasible) {
-    return false;  // Must surface as the guarded path's error row.
-  }
+  return sizing.feasible && validate(spec, sizing.line_cells).empty();
+}
+
+}  // namespace
+
+bool batch_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace) {
   // validate() enforces the rest of the MC-yield shape: proposed
   // architecture, power-on delay-cell faults only, no DVFS/supervision.
-  // An invalid spec must render its invalid_spec row via the scalar path.
-  return validate(spec, sizing.line_cells).empty();
+  return spec.mc_dies > 0 && !spec.mc_force_scalar &&
+         plannable(spec, workspace);
+}
+
+bool lane_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace) {
+  return spec.mc_dies == 0 && plannable(spec, workspace);
 }
 
 BatchPlan plan_batches(const std::vector<ScenarioSpec>& specs,
                        ScenarioWorkspace& workspace) {
   BatchPlan plan;
   std::map<GroupKey, std::size_t> group_index;
+  std::vector<std::size_t> closed_loop;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ScenarioSpec& spec = specs[i];
+    if (lane_eligible(spec, workspace)) {
+      closed_loop.push_back(i);
+      continue;
+    }
     if (!batch_eligible(spec, workspace)) {
       plan.scalar.push_back(i);
       continue;
@@ -65,13 +83,135 @@ BatchPlan plan_batches(const std::vector<ScenarioSpec>& specs,
     }
     plan.groups[it->second].members.push_back(i);
   }
+
+  // Closed-loop lanes: a lane group steps until its longest member ends,
+  // so members of similar length pack together -- longest first, so each
+  // group's cost is set by its first member and the long tail packs
+  // densely under the period bound.
+  std::stable_sort(closed_loop.begin(), closed_loop.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return specs[a].periods > specs[b].periods;
+                   });
+  const auto close_group = [&](BatchGroup& group) {
+    if (group.members.size() == 1) {
+      plan.scalar.push_back(group.members.front());
+    } else if (!group.members.empty()) {
+      std::sort(group.members.begin(), group.members.end());
+      plan.groups.push_back(std::move(group));
+    }
+    group = BatchGroup{BatchGroup::Kind::kClosedLoop, {}};
+  };
+  BatchGroup lanes{BatchGroup::Kind::kClosedLoop, {}};
+  std::uint64_t lane_periods = 0;
+  for (const std::size_t index : closed_loop) {
+    const std::uint64_t periods = specs[index].periods;
+    if (lanes.members.size() == analog::kPlantLanes ||
+        lane_periods + periods > kLaneGroupMaxPeriods) {
+      close_group(lanes);
+      lane_periods = 0;
+    }
+    lanes.members.push_back(index);
+    lane_periods += periods;
+  }
+  close_group(lanes);
+
+  std::sort(plan.scalar.begin(), plan.scalar.end());
+  std::sort(plan.groups.begin(), plan.groups.end(),
+            [](const BatchGroup& a, const BatchGroup& b) {
+              return a.members.front() < b.members.front();
+            });
   return plan;
 }
+
+std::vector<std::vector<std::size_t>> dispatch_units(const BatchPlan& plan) {
+  std::vector<std::vector<std::size_t>> units;
+  units.reserve(plan.groups.size() + plan.scalar.size());
+  for (const BatchGroup& group : plan.groups) {
+    units.push_back(group.members);
+  }
+  for (const std::size_t index : plan.scalar) {
+    units.push_back({index});
+  }
+  std::sort(units.begin(), units.end(),
+            [](const std::vector<std::size_t>& a,
+               const std::vector<std::size_t>& b) {
+              return a.front() < b.front();
+            });
+  return units;
+}
+
+namespace {
+
+/// A closed-loop group in lockstep: every member's scalar pre-plant and
+/// post-plant halves, its plant on one analog::PlantLanes lane.
+void run_lane_group(const std::vector<ScenarioSpec>& specs,
+                    const BatchGroup& group, ScenarioWorkspace& workspace,
+                    std::vector<ScenarioResult>& results) {
+  const std::vector<std::size_t>& members = group.members;
+  std::array<std::unique_ptr<ClosedLoopRun>, analog::kPlantLanes> runs;
+  std::array<control::PeriodStep, analog::kPlantLanes> steps;
+  analog::PlantLanes lanes;
+
+  // Lane k's member leaves the group with its verdict, or with the guarded
+  // path's error row if anything it runs throws.
+  const auto conclude = [&](std::size_t lane, std::exception_ptr error) {
+    const ScenarioSpec& spec = specs[members[lane]];
+    results[members[lane]] = error ? make_exception_result(spec, error)
+                                   : runs[lane]->finish().result;
+    runs[lane].reset();
+  };
+  const auto next_period = [&](std::size_t lane) {
+    try {
+      if (runs[lane]->begin_period(steps[lane])) {
+        lanes.start_period(lane, runs[lane]->plant(), steps[lane].pwm,
+                           steps[lane].load_a);
+        return;
+      }
+    } catch (...) {
+      conclude(lane, std::current_exception());
+      return;
+    }
+    conclude(lane, nullptr);
+  };
+
+  for (std::size_t lane = 0; lane < members.size(); ++lane) {
+    try {
+      runs[lane] =
+          std::make_unique<ClosedLoopRun>(specs[members[lane]], workspace);
+    } catch (...) {
+      results[members[lane]] =
+          make_exception_result(specs[members[lane]], std::current_exception());
+      continue;
+    }
+    next_period(lane);
+  }
+  while (lanes.busy_mask() != 0) {
+    const std::uint32_t finished = lanes.run();
+    for (std::size_t lane = 0; lane < members.size(); ++lane) {
+      if (((finished >> lane) & 1u) == 0) {
+        continue;
+      }
+      try {
+        runs[lane]->end_period(steps[lane]);
+      } catch (...) {
+        conclude(lane, std::current_exception());
+        continue;
+      }
+      next_period(lane);
+    }
+  }
+}
+
+}  // namespace
 
 void run_batch_group(const std::vector<ScenarioSpec>& specs,
                      const BatchGroup& group, ScenarioWorkspace& workspace,
                      std::size_t threads,
                      std::vector<ScenarioResult>& results) {
+  if (group.kind == BatchGroup::Kind::kClosedLoop) {
+    run_lane_group(specs, group, workspace, results);
+    return;
+  }
   const ScenarioSpec& first = specs[group.members.front()];
   const analysis::McBatchSpec mc =
       mc_yield_kernel_spec(first, workspace.sizing_for(first));

@@ -9,6 +9,7 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/analysis/parallel.h"
+#include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/journal.h"
 #include "ddl/scenario/sandbox.h"
 #include "ddl/scenario/workspace.h"
@@ -71,7 +72,7 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
       check_resumable(config_.journal_dir, fingerprint, specs.size());
       prior = load_journal(config_.journal_dir);
       drop_torn_tail(journal_path(config_.journal_dir));
-      drop_torn_tail(health_journal_path(config_.journal_dir));
+      drop_orphan_health(config_.journal_dir, prior);
     }
     writer = std::make_unique<JournalWriter>(
         config_.journal_dir, fingerprint, specs.size(), prior.lines.size(),
@@ -86,39 +87,63 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
     }
   }
 
+  // Plan the pending specs into dispatch units (a resume regroups what is
+  // left): batch groups run as one unit each, in one sandbox worker.
+  std::vector<ScenarioSpec> pending_specs;
+  pending_specs.reserve(pending.size());
+  for (const std::size_t index : pending) {
+    pending_specs.push_back(specs[index]);
+  }
+  std::vector<std::vector<std::size_t>> units;
+  {
+    ScenarioWorkspace planner_workspace;
+    units = dispatch_units(plan_batches(pending_specs, planner_workspace));
+  }
+
   const IsolationConfig isolation = config_.isolation();
   std::atomic<std::size_t> abandoned{0};
   SandboxCounters counters;
   analysis::ThreadPool pool(config_.jobs ? config_.jobs
                                          : analysis::default_thread_count());
   auto executed = analysis::parallel_for_reduce<Shard>(
-      pool, pending.size(), [] { return Shard{}; },
-      [&](std::size_t i, Shard& shard) {
-        const std::size_t index = pending[i];
-        const ScenarioSpec& spec = specs[index];
-        Executed entry;
-        entry.index = index;
-        // A graceful stop gates *starting* scenarios: anything already
-        // running finishes and journals normally, so the journal stays
-        // resumable and non-torn.
+      pool, units.size(), [] { return Shard{}; },
+      [&](std::size_t u, Shard& shard) {
+        const std::vector<std::size_t>& unit = units[u];
+        // A graceful stop gates *starting* units: anything already running
+        // finishes and journals normally, so the journal stays resumable
+        // and non-torn.
         if (config_.stop != nullptr &&
             config_.stop->load(std::memory_order_relaxed)) {
-          entry.skipped = true;
-          shard.entries.push_back(std::move(entry));
+          for (const std::size_t member : unit) {
+            Executed entry;
+            entry.index = pending[member];
+            entry.skipped = true;
+            shard.entries.push_back(std::move(entry));
+          }
           return;
         }
         if (!shard.executor) {
           shard.executor = std::make_unique<ScenarioExecutor>(
               isolation, &counters, &abandoned);
         }
-        ExecutedScenario run = shard.executor->run_one(spec);
-        entry.result = std::move(run.result);
-        entry.line = std::move(run.line);
-        entry.health_lines = std::move(run.health_lines);
-        if (writer) {
-          writer->record(entry.line, entry.health_lines);
+        std::vector<ScenarioSpec> unit_specs;
+        unit_specs.reserve(unit.size());
+        for (const std::size_t member : unit) {
+          unit_specs.push_back(pending_specs[member]);
         }
-        shard.entries.push_back(std::move(entry));
+        std::vector<ExecutedScenario> runs =
+            shard.executor->run_unit(unit_specs);
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+          Executed entry;
+          entry.index = pending[unit[k]];
+          entry.result = std::move(runs[k].result);
+          entry.line = std::move(runs[k].line);
+          entry.health_lines = std::move(runs[k].health_lines);
+          if (writer) {
+            writer->record(entry.line, entry.health_lines);
+          }
+          shard.entries.push_back(std::move(entry));
+        }
       },
       [](Shard& total, Shard&& part) {
         for (Executed& entry : part.entries) {

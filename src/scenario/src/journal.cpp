@@ -145,6 +145,23 @@ void drop_torn_tail(const std::string& path) {
   }
 }
 
+void drop_orphan_health(const std::string& dir, const JournalState& state) {
+  const std::string path = health_journal_path(dir);
+  const std::string content = read_file(path);
+  std::string kept;
+  kept.reserve(content.size());
+  for (const std::string& line : complete_lines(content)) {
+    const auto fields = analysis::parse_flat_json_line(line);
+    if (fields && state.lines.count(field_or(*fields, "scenario")) != 0) {
+      kept += line;
+      kept += '\n';
+    }
+  }
+  if (kept.size() < content.size()) {
+    analysis::write_file_atomic(path, kept);
+  }
+}
+
 JournalState load_journal(const std::string& dir) {
   JournalState state;
   for (const std::string& line : complete_lines(read_file(journal_path(dir)))) {

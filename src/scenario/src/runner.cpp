@@ -20,6 +20,7 @@
 #include "ddl/dpwm/behavioral.h"
 #include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/workspace.h"
+#include "closed_loop_run.h"
 
 namespace ddl::scenario {
 namespace {
@@ -325,8 +326,6 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec) {
 
 ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
                                ScenarioWorkspace& workspace) {
-  const cells::Technology& tech = workspace.technology();
-
   ScenarioArtifacts artifacts;
   ScenarioResult& result = artifacts.result;
   result = make_base_result(spec);
@@ -348,7 +347,57 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
     return artifacts;
   }
 
-  BuiltSystem sys = build_system(spec, tech, sizing);
+  ClosedLoopRun run(spec, workspace);
+  control::PeriodStep step;
+  while (run.begin_period(step)) {
+    run.plant().run_period(step.pwm, step.load_a);
+    run.end_period(step);
+  }
+  return run.finish();
+}
+
+namespace {
+
+/// Periods of loop history reserved up front at most (48 MiB of samples).
+constexpr std::uint64_t kMaxReservedHistory = std::uint64_t{1} << 20;
+
+/// Runtime fault schedule entry: an inject or clear instant.
+struct FaultEvent {
+  std::uint64_t period = 0;
+  std::size_t index = 0;
+  bool engage = false;
+};
+
+}  // namespace
+
+struct ClosedLoopRun::State {
+  const ScenarioSpec& spec;
+  ScenarioArtifacts artifacts;
+  BuiltSystem sys;
+  std::unique_ptr<core::SupervisedSystem> adapter;
+  std::unique_ptr<core::LockSupervisor> supervisor;
+  std::unique_ptr<control::DigitallyControlledBuck> loop;
+  std::vector<FaultEvent> fault_events;
+  std::size_t next_event = 0;
+  control::LoadProfile load;
+  std::unique_ptr<control::VoltageModeManager> manager;
+  std::uint64_t period = 0;  ///< The next period to run.
+  std::uint64_t length = 0;  ///< Periods the loop runs (0: it never runs).
+  bool concluded = false;    ///< The verdict needs no loop telemetry.
+
+  explicit State(const ScenarioSpec& s) : spec(s) {}
+};
+
+ClosedLoopRun::ClosedLoopRun(const ScenarioSpec& spec,
+                             ScenarioWorkspace& workspace)
+    : state_(std::make_unique<State>(spec)) {
+  State& st = *state_;
+  ScenarioResult& result = st.artifacts.result;
+  result = make_base_result(spec);
+
+  st.sys = build_system(spec, workspace.technology(),
+                        workspace.sizing_for(spec));
+  BuiltSystem& sys = st.sys;
   result.locked = sys.locked;
   result.lock_cycles = sys.lock_cycles;
 
@@ -359,67 +408,67 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
     if (!result.pass) {
       result.failure_reason = "unexpected_lock";
     }
-    return artifacts;
+    st.concluded = true;
+    return;
   }
   if (!sys.locked) {
     result.failure_reason = "no_lock";
-    return artifacts;
+    st.concluded = true;
+    return;
   }
 
   // Supervision: wrap the calibrated system behind the supervisor so the
   // loop regulates *through* it; the watchdog taps the per-period sample.
-  std::unique_ptr<core::SupervisedSystem> adapter;
-  std::unique_ptr<core::LockSupervisor> supervisor;
   if (spec.supervision.enabled) {
     if (sys.proposed_sys) {
-      adapter = core::make_supervised(*sys.proposed_sys);
+      st.adapter = core::make_supervised(*sys.proposed_sys);
     } else if (sys.conventional_sys) {
-      adapter = core::make_supervised(*sys.conventional_sys);
+      st.adapter = core::make_supervised(*sys.conventional_sys);
     } else if (sys.hybrid_sys) {
-      adapter = core::make_supervised(*sys.hybrid_sys);
+      st.adapter = core::make_supervised(*sys.hybrid_sys);
     }
-    supervisor =
-        std::make_unique<core::LockSupervisor>(*adapter, spec.supervision.config);
+    st.supervisor = std::make_unique<core::LockSupervisor>(
+        *st.adapter, spec.supervision.config);
     result.supervised = true;
   }
   dpwm::DpwmModel& modulator =
-      supervisor ? static_cast<dpwm::DpwmModel&>(*supervisor) : *sys.dpwm;
+      st.supervisor ? static_cast<dpwm::DpwmModel&>(*st.supervisor)
+                    : *sys.dpwm;
 
   const std::uint64_t full = (std::uint64_t{1} << sys.dpwm->bits()) - 1;
-  control::DigitallyControlledBuck loop(
+  st.loop = std::make_unique<control::DigitallyControlledBuck>(
       analog::BuckConverter(analog::BuckParams{}),
       analog::WindowAdc(analog::WindowAdcParams{spec.vref_v, 10e-3, 7}),
       control::PidController(pid_for(sys.dpwm->bits()), full, full / 3),
       modulator);
-  if (supervisor) {
-    core::LockSupervisor* hook = supervisor.get();
-    loop.set_sample_observer([hook](const control::LoopSample& sample) {
+  // A known-length run reserves its history once (capped, so an absurd
+  // period count still fails the way it always did: by running).
+  st.loop->reserve_history(
+      static_cast<std::size_t>(std::min(spec.periods, kMaxReservedHistory)));
+  if (st.supervisor) {
+    core::LockSupervisor* hook = st.supervisor.get();
+    st.loop->set_sample_observer([hook](const control::LoopSample& sample) {
       hook->observe_error(sample.error_code);
     });
   }
 
   // Runtime fault schedule: inject/clear instants, period-ordered (ties
   // resolve in fault order, clears before re-injections at the same
-  // instant).
-  struct FaultEvent {
-    std::uint64_t period = 0;
-    std::size_t index = 0;
-    bool engage = false;
-  };
-  std::vector<FaultEvent> fault_events;
+  // instant).  An event at period p applies before period p runs; events
+  // at or past the run's end apply after its last period.
   for (std::size_t i = 0; i < spec.faults.size(); ++i) {
     const FaultSpec& fault = spec.faults[i];
     if (!fault.active()) {
       continue;
     }
     if (fault.at_period > 0) {
-      fault_events.push_back({fault.at_period, i, true});
+      st.fault_events.push_back({fault.at_period, i, true});
     }
     if (fault.clear_period > 0) {
-      fault_events.push_back({fault.clear_period, i, false});
+      st.fault_events.push_back({fault.clear_period, i, false});
     }
   }
-  std::sort(fault_events.begin(), fault_events.end(),
+  std::sort(st.fault_events.begin(), st.fault_events.end(),
             [](const FaultEvent& a, const FaultEvent& b) {
               if (a.period != b.period) {
                 return a.period < b.period;
@@ -430,35 +479,69 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
               return a.index < b.index;
             });
 
-  const control::LoadProfile load = spec.load.make(spec.seed);
-  if (spec.dvfs.empty()) {
-    // Segment the run at each fault instant (the loop keeps its period
-    // counter across run() calls, so segmentation is invisible to the
-    // telemetry).
-    std::uint64_t done = 0;
-    for (const FaultEvent& event : fault_events) {
-      const std::uint64_t until = std::min(event.period, spec.periods);
-      if (until > done) {
-        loop.run(until - done, load);
-        done = until;
-      }
-      apply_fault(sys, spec.faults[event.index], event.engage);
-    }
-    if (spec.periods > done) {
-      loop.run(spec.periods - done, load);
-    }
-  } else {
+  st.load = spec.load.make(spec.seed);
+  st.length = spec.periods;
+  if (!spec.dvfs.empty()) {
     // validate() rejects runtime faults combined with DVFS schedules.
-    control::VoltageModeManager manager(spec.dvfs, spec.settle_band_v);
-    artifacts.transitions = manager.run(loop, spec.periods, load);
+    st.manager = std::make_unique<control::VoltageModeManager>(
+        spec.dvfs, spec.settle_band_v);
+    st.length = st.manager->run_length(spec.periods);
+  }
+}
+
+ClosedLoopRun::~ClosedLoopRun() = default;
+
+bool ClosedLoopRun::begin_period(control::PeriodStep& step) {
+  State& st = *state_;
+  if (st.concluded) {
+    return false;
+  }
+  const std::uint64_t period = std::min(st.period, st.length);
+  if (st.manager) {
+    st.manager->apply_due(*st.loop, period);
+  } else {
+    const bool last = period == st.length;
+    while (st.next_event < st.fault_events.size() &&
+           (last || st.fault_events[st.next_event].period <= period)) {
+      const FaultEvent& event = st.fault_events[st.next_event++];
+      apply_fault(st.sys, st.spec.faults[event.index], event.engage);
+    }
+  }
+  if (period == st.length) {
+    return false;
+  }
+  step = st.loop->begin_period(st.load);
+  return true;
+}
+
+analog::BuckConverter& ClosedLoopRun::plant() {
+  return state_->loop->plant();
+}
+
+void ClosedLoopRun::end_period(const control::PeriodStep& step) {
+  state_->loop->end_period(step);
+  ++state_->period;
+}
+
+ScenarioArtifacts ClosedLoopRun::finish() {
+  State& st = *state_;
+  if (st.concluded) {
+    return std::move(st.artifacts);
+  }
+  const ScenarioSpec& spec = st.spec;
+  ScenarioArtifacts& artifacts = st.artifacts;
+  ScenarioResult& result = artifacts.result;
+  control::DigitallyControlledBuck& loop = *st.loop;
+  if (st.manager) {
+    artifacts.transitions = st.manager->reports(loop, 0, spec.periods);
   }
 
-  if (supervisor) {
-    result.lock_losses = supervisor->lock_losses();
-    result.relocks = supervisor->relocks();
-    result.relock_latency_max = supervisor->max_relock_latency_periods();
-    result.degradation_level = static_cast<int>(supervisor->degradation());
-    result.health = supervisor->events();
+  if (st.supervisor) {
+    result.lock_losses = st.supervisor->lock_losses();
+    result.relocks = st.supervisor->relocks();
+    result.relock_latency_max = st.supervisor->max_relock_latency_periods();
+    result.degradation_level = static_cast<int>(st.supervisor->degradation());
+    result.health = st.supervisor->events();
   }
 
   result.metrics = loop.metrics(spec.measure_from, spec.periods);
@@ -505,8 +588,8 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
     result.pass = true;
   }
 
-  artifacts.history = loop.history();
-  return artifacts;
+  artifacts.history = loop.take_history();
+  return std::move(artifacts);
 }
 
 ScenarioResult make_error_result(const ScenarioSpec& spec, ScenarioError error,
@@ -530,16 +613,22 @@ ScenarioArtifacts run_scenario_guarded(const ScenarioSpec& spec,
       throw std::runtime_error("debug_throw test hook");
     }
     return run_scenario(spec, workspace);
-  } catch (const std::exception& e) {
-    ScenarioArtifacts artifacts;
-    artifacts.result =
-        make_error_result(spec, ScenarioError::kException, e.what());
-    return artifacts;
   } catch (...) {
     ScenarioArtifacts artifacts;
-    artifacts.result = make_error_result(spec, ScenarioError::kException,
-                                         "non-standard exception");
+    artifacts.result = make_exception_result(spec, std::current_exception());
     return artifacts;
+  }
+}
+
+ScenarioResult make_exception_result(const ScenarioSpec& spec,
+                                     std::exception_ptr error) {
+  try {
+    std::rethrow_exception(std::move(error));
+  } catch (const std::exception& e) {
+    return make_error_result(spec, ScenarioError::kException, e.what());
+  } catch (...) {
+    return make_error_result(spec, ScenarioError::kException,
+                             "non-standard exception");
   }
 }
 
@@ -644,46 +733,46 @@ std::vector<ScenarioResult> ScenarioRunner::run(
   const std::size_t threads =
       threads_ ? threads_ : analysis::default_thread_count();
 
-  // Partition first: batch-eligible MC-yield scenarios group into shared
-  // kernel dispatches, everything else takes the per-scenario guarded
-  // path.  Classification and grouping are deterministic, and every row is
-  // placed by spec index, so the JSONL stream stays byte-identical to the
-  // ungrouped runner for any thread count.
+  // Partition first: batch-eligible scenarios group into shared kernel
+  // dispatches (MC-yield dies, closed-loop plant lanes), everything else
+  // takes the per-scenario guarded path.  Classification and grouping are
+  // deterministic, and every row is placed by spec index, so the JSONL
+  // stream stays byte-identical to the ungrouped runner for any thread
+  // count.
   ScenarioWorkspace planner_workspace;
   const BatchPlan plan = plan_batches(specs, planner_workspace);
-
-  std::vector<ScenarioResult> results(specs.size());
-
-  /// Scalar shard state: rows tagged with their spec index plus the
-  /// worker's workspace arena (sizing reused across the shard's specs).
-  struct ScalarShard {
-    std::vector<std::pair<std::size_t, ScenarioResult>> rows;
-    std::shared_ptr<ScenarioWorkspace> workspace =
-        std::make_shared<ScenarioWorkspace>();
-  };
-  analysis::ThreadPool pool(threads);
-  auto scalar_rows = analysis::parallel_for_reduce<ScalarShard>(
-      pool, plan.scalar.size(), [] { return ScalarShard{}; },
-      [&](std::size_t i, ScalarShard& shard) {
-        // Guarded per scenario: an exception from one spec becomes its own
-        // structured error row instead of tearing down the whole batch.
-        const std::size_t index = plan.scalar[i];
-        shard.rows.emplace_back(
-            index, run_scenario_guarded(specs[index], *shard.workspace).result);
-      },
-      [](ScalarShard& total, ScalarShard&& part) {
-        for (auto& row : part.rows) {
-          total.rows.push_back(std::move(row));
-        }
-      });
-  for (auto& [index, result] : scalar_rows.rows) {
-    results[index] = std::move(result);
+  std::vector<const BatchGroup*> lane_groups;
+  std::vector<const BatchGroup*> mc_groups;
+  for (const BatchGroup& group : plan.groups) {
+    (group.kind == BatchGroup::Kind::kClosedLoop ? lane_groups : mc_groups)
+        .push_back(&group);
   }
 
-  // Batched groups: each is one explicit-die dispatch whose internal block
+  // Pool items: each closed-loop lane group (lockstep on one worker), then
+  // each scalar spec.  Every item writes only its own members' rows, and
+  // each worker keeps a workspace arena (sizing reused across its items).
+  std::vector<ScenarioResult> results(specs.size());
+  using Arena = std::shared_ptr<ScenarioWorkspace>;
+  analysis::ThreadPool pool(threads);
+  analysis::parallel_for_reduce<Arena>(
+      pool, lane_groups.size() + plan.scalar.size(),
+      [] { return std::make_shared<ScenarioWorkspace>(); },
+      [&](std::size_t i, Arena& workspace) {
+        if (i < lane_groups.size()) {
+          run_batch_group(specs, *lane_groups[i], *workspace, 1, results);
+          return;
+        }
+        // Guarded per scenario: an exception from one spec becomes its own
+        // structured error row instead of tearing down the whole batch.
+        const std::size_t index = plan.scalar[i - lane_groups.size()];
+        results[index] = run_scenario_guarded(specs[index], *workspace).result;
+      },
+      [](Arena&, Arena&&) {});
+
+  // MC groups: each is one explicit-die dispatch whose internal block
   // sharding uses the same thread budget.
-  for (const BatchGroup& group : plan.groups) {
-    run_batch_group(specs, group, planner_workspace, threads, results);
+  for (const BatchGroup* group : mc_groups) {
+    run_batch_group(specs, *group, planner_workspace, threads, results);
   }
   return results;
 }

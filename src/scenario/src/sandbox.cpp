@@ -1,6 +1,9 @@
 #include "ddl/scenario/sandbox.h"
 
 #include <fcntl.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/types.h>
@@ -258,6 +261,15 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
   close_all_from(5);
 
   std::signal(SIGPIPE, SIG_IGN);
+#ifdef __GLIBC__
+  // A worker runs unit after unit, and a closed-loop lane group holds up to
+  // eight loop histories (tens to hundreds of KiB each) at once.  glibc
+  // raises its mmap threshold past the first freed block, after which such
+  // buffers come from the brk heap and fragment it, so the worker's peak
+  // RSS creeps above its largest unit's live set.  A fixed threshold keeps
+  // every buffer from 64 KiB up in its own mapping, returned on free.
+  ::mallopt(M_MMAP_THRESHOLD, 64 * 1024);
+#endif
   std::set_new_handler([] { ::_exit(kExitOom); });
   g_child_limits = limits;
   if (limits.mem_limit_mb > 0) {
@@ -862,14 +874,6 @@ ScenarioExecutor::ScenarioExecutor(IsolationConfig config,
 
 ScenarioExecutor::~ScenarioExecutor() {
   shutdown_worker(*impl_);
-}
-
-ExecutedScenario ScenarioExecutor::run_one(const ScenarioSpec& spec) {
-  std::vector<ExecutedScenario> unit = run_unit({spec});
-  if (unit.empty()) {
-    return {};
-  }
-  return std::move(unit.front());
 }
 
 std::vector<ExecutedScenario> ScenarioExecutor::run_unit(

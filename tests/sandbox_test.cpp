@@ -90,19 +90,21 @@ std::string fingerprint_of_one(const ScenarioSpec& spec) {
 // ---- Crash taxonomy -------------------------------------------------------
 
 TEST(SandboxTest, SegvBecomesAStructuredCrashRowAndTheCampaignSurvives) {
-  std::vector<ScenarioSpec> specs = {quick_spec("a", 11), crashing_spec("segv"),
+  // The crash leads: the two clean scenarios share one closed-loop lane
+  // unit, which dispatches after it.
+  std::vector<ScenarioSpec> specs = {crashing_spec("segv"), quick_spec("a", 11),
                                      quick_spec("b", 12)};
   const auto outcome = Campaign(process_config()).run(specs);
 
   ASSERT_EQ(outcome.results.size(), 3u);
-  EXPECT_EQ(outcome.results[1].error, ScenarioError::kCrash);
-  EXPECT_EQ(outcome.results[1].error_detail,
+  EXPECT_EQ(outcome.results[0].error, ScenarioError::kCrash);
+  EXPECT_EQ(outcome.results[0].error_detail,
             "sandbox worker killed by SIGSEGV (spec " +
-                fingerprint_of_one(specs[1]) + ")");
-  EXPECT_EQ(outcome.results[1].failure_reason, "error:crash");
-  EXPECT_EQ(outcome.results[1].attempts, 1);
+                fingerprint_of_one(specs[0]) + ")");
+  EXPECT_EQ(outcome.results[0].failure_reason, "error:crash");
+  EXPECT_EQ(outcome.results[0].attempts, 1);
   // The other scenarios completed on a respawned worker.
-  EXPECT_TRUE(outcome.results[0].pass);
+  EXPECT_TRUE(outcome.results[1].pass);
   EXPECT_TRUE(outcome.results[2].pass);
   EXPECT_EQ(outcome.executed, 3u);
   EXPECT_EQ(outcome.sandbox_crashes, 1u);
@@ -239,7 +241,9 @@ TEST(SandboxTest, GroupCrashDegradesToPerScenarioRetries) {
   // The degraded rows byte-match a clean single-spec execution.
   ScenarioExecutor clean(isolation);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(runs[i].line, clean.run_one(specs[i]).line) << i;
+    const std::vector<ExecutedScenario> alone = clean.run_unit({specs[i]});
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(runs[i].line, alone.front().line) << i;
   }
 }
 
@@ -263,9 +267,11 @@ TEST(SandboxTest, InterruptWithdrawsTheInFlightUnit) {
 
   // A re-armed executor respawns its worker and runs normally.
   executor.clear_interrupt();
-  const ExecutedScenario after = executor.run_one(quick_spec("after", 42));
-  EXPECT_EQ(after.result.error, ScenarioError::kNone);
-  EXPECT_TRUE(after.result.pass);
+  const std::vector<ExecutedScenario> after =
+      executor.run_unit({quick_spec("after", 42)});
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after.front().result.error, ScenarioError::kNone);
+  EXPECT_TRUE(after.front().result.pass);
 }
 
 // ---- Thread-mode abandoned-worker cap -------------------------------------
