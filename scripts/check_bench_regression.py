@@ -68,12 +68,13 @@ SCHEMAS = {
     },
     "sandbox_overhead": {
         "guardrail_sandbox_scenarios_per_sec": lambda v: v > 0,
-        "thread_scenarios_per_sec": lambda v: v > 0,
+        "inprocess_scenarios_per_sec": lambda v: v > 0,
         "process_scenarios_per_sec": lambda v: v > 0,
-        # The fork/IPC tax bound from the acceptance criteria: process
-        # isolation may cost at most 10% scenarios/sec versus thread mode
-        # (the sandbox keeps one long-lived worker, so the steady-state
-        # cost is a pipe round trip per dispatch unit, not a fork).
+        # The fork/IPC tax bound from the acceptance criteria: the sandboxed
+        # campaign may cost at most 10% scenarios/sec versus the plain
+        # in-process ScenarioRunner on the same specs in the same run (the
+        # sandbox keeps one long-lived worker, so the steady-state cost is
+        # a pipe round trip per dispatch unit, not a fork).
         "sandbox_efficiency_frac": lambda v: v >= 0.90,
         # Isolation must be invisible in the stream -- same contract as
         # the batch planner.

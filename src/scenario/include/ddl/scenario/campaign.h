@@ -11,14 +11,16 @@
 //               are skipped and their journaled lines reused *byte-exactly*,
 //               so the final stream is identical to an uninterrupted run.
 //
-//   isolation   each scenario attempt runs on its own watchdog-supervised
-//               thread with a per-spec deadline (`timeout_ms`, or derived
-//               from the spec's period count).  Timeouts are classified
-//               transient and retried with exponential backoff up to
-//               `max_retries`; an exhausted scenario becomes a structured
-//               `verdict:"error"` row (ScenarioError::kTimeout) and the
-//               batch keeps going.  Exceptions are captured per scenario by
-//               `run_scenario_guarded` and are not retried (deterministic).
+//   isolation   each scenario attempt runs in a sandbox worker process
+//               (sandbox.h) under a per-spec deadline (`timeout_ms`, or
+//               derived from the spec's period count).  Timeouts are
+//               classified transient and retried with exponential backoff
+//               up to `max_retries`; an exhausted scenario becomes a
+//               structured `verdict:"error"` row (ScenarioError::kTimeout)
+//               and the batch keeps going.  Crashes and resource kills
+//               become error rows too.  Exceptions are captured per
+//               scenario by `run_scenario_guarded` and are not retried
+//               (deterministic).
 //               The pending specs are planned first (batch_plan.h): each
 //               MC-yield group or closed-loop lane group is one dispatch
 //               unit, journaled member by member when it completes.
@@ -35,14 +37,14 @@
 #include <string>
 #include <vector>
 
-#include "ddl/scenario/isolation.h"
 #include "ddl/scenario/runner.h"
+#include "ddl/scenario/sandbox.h"
 
 namespace ddl::scenario {
 
 struct CampaignConfig {
   /// Journal + checkpoint-manifest directory; empty disables durability
-  /// (watchdog isolation still applies).  Created on demand.
+  /// (sandbox isolation still applies).  Created on demand.
   std::string journal_dir;
   /// Resume from an existing journal in `journal_dir`: the manifest must
   /// fingerprint-match the spec list, completed scenarios are skipped.
@@ -56,29 +58,18 @@ struct CampaignConfig {
   int max_retries = 1;
   /// First retry backoff; doubles on every further retry.
   std::uint64_t backoff_base_ms = 50;
-  /// After a timeout the watchdog cancels cooperatively and waits this long
-  /// to join the worker before abandoning (detaching) it.
-  std::uint64_t grace_ms = 500;
   /// Optional graceful-stop flag (SIGTERM/SIGINT): when it reads true, the
   /// campaign stops *starting* scenarios.  In-flight scenarios finish and
   /// are journaled normally, so the journal stays resumable and non-torn;
   /// unstarted scenarios are counted in CampaignOutcome::skipped.
   const std::atomic<bool>* stop = nullptr;
-  /// Where scenario attempts execute: out-of-process sandbox workers (the
-  /// default; crashes become structured rows) or in-process watchdog
-  /// threads (lower overhead, no crash containment).
-  IsolationMode isolation_mode = IsolationMode::kProcess;
   /// RLIMIT_AS / RLIMIT_CPU caps applied inside sandbox workers.
   SandboxLimits limits;
-  /// Thread mode: abandoned-worker cap (see IsolationConfig::max_abandoned).
-  std::size_t max_abandoned = 16;
 
-  /// The isolation slice of this config, as the shared watchdog executor
-  /// consumes it.
+  /// The isolation slice of this config, as the sandbox executor consumes
+  /// it.
   IsolationConfig isolation() const noexcept {
-    return IsolationConfig{timeout_ms,     max_retries, backoff_base_ms,
-                           grace_ms,       isolation_mode, limits,
-                           max_abandoned};
+    return IsolationConfig{timeout_ms, max_retries, backoff_base_ms, limits};
   }
 };
 
@@ -97,12 +88,11 @@ struct CampaignOutcome {
   std::size_t retried = 0;    ///< Scenarios that needed more than 1 attempt.
   std::size_t timeouts = 0;   ///< Scenarios exhausted as kTimeout errors.
   std::size_t exceptions = 0; ///< Scenarios captured as kException errors.
-  std::size_t abandoned_threads = 0;  ///< Workers detached past grace.
   std::size_t skipped = 0;    ///< Scenarios never started (graceful stop).
   std::size_t sandbox_crashes = 0;   ///< Workers killed by a fatal signal.
   std::size_t workers_respawned = 0; ///< Replacement sandbox workers forked.
   std::size_t resource_kills = 0;    ///< Workers killed by RLIMIT caps.
-  std::size_t workers_lost = 0;      ///< kWorkerLost rows (incl. cap trips).
+  std::size_t workers_lost = 0;      ///< kWorkerLost rows.
   /// True when a graceful stop cut the run short: `skipped` scenarios have
   /// neither a result row nor a journal entry; resume picks them up.
   bool interrupted = false;

@@ -18,11 +18,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "ddl/analysis/bench_json.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/spec.h"
 
@@ -46,41 +44,6 @@ struct ChaosCampaignSpec {
 /// the base cannot carry runtime faults (counter architecture, DVFS
 /// schedule, infeasible sizing or a pre-existing fault plan).
 std::vector<ScenarioSpec> expand_chaos(const ChaosCampaignSpec& chaos);
-
-/// Serializes a complete ScenarioSpec as a flat JsonObject (vectors are
-/// flattened as `faults.<i>.<field>` / `dvfs.<i>.<field>`): the replay
-/// bundle dialect, parseable by `analysis::parse_flat_json_line`.
-analysis::JsonObject spec_to_json(const ScenarioSpec& spec);
-
-/// Appends the same flat serialization onto an existing object (whose own
-/// fields -- a frame type, a sequence number -- stay in front).  The
-/// sandbox supervisor ships specs to its worker processes this way.
-void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec);
-
-/// Rebuilds a spec from the flat dialect.  Unknown keys are ignored and
-/// missing keys keep their defaults, so bundles stay forward-compatible;
-/// throws std::invalid_argument on unparseable enum values.
-ScenarioSpec spec_from_json(const std::map<std::string, std::string>& fields);
-
-/// A strict parse attempt: the rebuilt spec plus every problem found.
-/// `errors` uses the same human-readable shape as validate() messages
-/// ("<key>: <what went wrong>"); the spec keeps defaults for every field
-/// that failed to parse, so callers can still render context from it.
-struct SpecParse {
-  ScenarioSpec spec;
-  std::vector<std::string> errors;
-  bool ok() const noexcept { return errors.empty(); }
-};
-
-/// Strict counterpart of spec_from_json for untrusted input (the campaign
-/// service's submit path): never throws or aborts.  Collects an error for
-/// every wrong-typed field (the whole value must parse -- "8oops" is
-/// rejected, not truncated), every unparseable enum, and -- unless
-/// `allow_unknown` -- every key outside the spec dialect (typo'd field
-/// names fail loudly instead of silently keeping a default).
-SpecParse spec_from_json_checked(
-    const std::map<std::string, std::string>& fields,
-    bool allow_unknown = false);
 
 /// Outcome of shrinking one failing storm.
 struct ShrinkReport {

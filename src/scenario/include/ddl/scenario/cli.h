@@ -35,9 +35,6 @@ struct RunnerOptions {
   /// attempt for MS, demonstrating watchdog timeout / retry / error rows.
   std::uint64_t inject_hang_ms = 0;
 
-  /// --isolation thread|process: where scenario attempts execute
-  /// (default: process -- fork()ed sandbox workers with crash containment).
-  std::string isolation = "process";
   std::uint64_t mem_limit_mb = 0;  ///< --mem-limit-mb: worker RLIMIT_AS cap.
   std::uint64_t cpu_limit_s = 0;   ///< --cpu-limit-s: worker RLIMIT_CPU cap.
 

@@ -1,10 +1,8 @@
 // Process-level scenario sandbox: crash containment for campaign workers.
 //
 // A ScenarioExecutor is the one dispatch-unit execution engine shared by
-// the Campaign engine and the campaign service daemon.  In
-// IsolationMode::kThread it is a thin wrapper over the watchdog thread
-// path (run_scenario_isolated / the batch planner).  In
-// IsolationMode::kProcess it supervises a fork()ed *worker process*:
+// the Campaign engine and the campaign service daemon.  It supervises a
+// fork()ed *worker process*:
 //
 //   supervisor (this process)              worker (forked child)
 //   ----------------------------          ---------------------------
@@ -16,18 +14,18 @@
 // Frames reuse the campaign service's checksummed wire framing
 // (ddl/service/protocol.h) over a pipe pair, and rows travel as the exact
 // JSONL line the runner would emit -- the same byte-identity trick the
-// service uses on sockets -- so thread mode and process mode produce
-// byte-identical streams.
+// service uses on sockets -- so a sandboxed campaign's streams are
+// byte-identical to the in-process ScenarioRunner's.
 //
 // The point of the fork: a scenario that segfaults, aborts, blows past an
 // address-space or CPU-time cap (setrlimit inside the child), or wedges
 // beyond the watchdog deadline kills only the worker.  The supervisor
 // reaps it (waitpid), classifies the exit status into a structured
 // ScenarioError (kCrash / kResourceLimit / kWorkerLost / kTimeout),
-// respawns the worker and -- for transient classes -- retries under the
-// exact backoff policy thread mode uses.  Crash rows are deterministic
-// (signal name + spec content fingerprint; never a pid or address), so a
-// journaled crash row replays byte-identically on resume.
+// respawns the worker and -- for transient classes -- retries with
+// exponential backoff.  Crash rows are deterministic (signal name + spec
+// content fingerprint; never a pid or address), so a journaled crash row
+// replays byte-identically on resume.
 //
 // Batch-plan dispatch units survive: a multi-spec unit ships whole into
 // one worker (one batched kernel dispatch, threads=1).  If the worker
@@ -41,10 +39,38 @@
 #include <string>
 #include <vector>
 
-#include "ddl/scenario/isolation.h"
 #include "ddl/scenario/runner.h"
 
 namespace ddl::scenario {
+
+/// Per-worker resource caps, applied via setrlimit() inside the sandbox
+/// child.
+struct SandboxLimits {
+  /// RLIMIT_AS cap in MiB; 0 leaves the address space unlimited.
+  std::uint64_t mem_limit_mb = 0;
+  /// RLIMIT_CPU cap in seconds; 0 leaves CPU time unlimited.
+  std::uint64_t cpu_limit_s = 0;
+};
+
+/// Per-attempt supervision policy (the isolation slice of CampaignConfig).
+struct IsolationConfig {
+  /// Watchdog deadline per attempt in wall milliseconds; 0 derives a
+  /// generous per-spec default from the period count (auto_timeout_ms).
+  std::uint64_t timeout_ms = 0;
+  /// Extra attempts granted to a transiently failed scenario (a timeout or
+  /// an unattributable worker loss).
+  int max_retries = 1;
+  /// First retry backoff; doubles on every further retry.
+  std::uint64_t backoff_base_ms = 50;
+  /// Resource caps for the sandbox workers.
+  SandboxLimits limits;
+};
+
+/// The derived watchdog deadline when `timeout_ms == 0`: generous enough
+/// that only a genuine hang trips it (10 s floor + 20 ms per switching
+/// period), and a pure function of the spec so error rows stay
+/// deterministic.
+std::uint64_t auto_timeout_ms(const ScenarioSpec& spec);
 
 /// Shared sandbox telemetry, aggregated across every executor of a
 /// campaign or server (plain atomics; hand the same instance to all).
@@ -55,32 +81,31 @@ struct SandboxCounters {
   std::atomic<std::size_t> respawns{0};
   /// Workers killed by their RLIMIT_AS / RLIMIT_CPU cap (kResourceLimit).
   std::atomic<std::size_t> resource_kills{0};
-  /// Rows classified kWorkerLost (unattributable death, retries exhausted,
-  /// or thread mode's abandoned-worker cap).
+  /// Rows classified kWorkerLost (unattributable death, retries
+  /// exhausted).
   std::atomic<std::size_t> workers_lost{0};
 };
 
 /// One executed scenario: the verdict plus its rendered JSONL line and
-/// health-event lines.  In process mode the lines are rendered inside the
-/// worker and shipped back byte-exact; `result` carries the verdict slice
-/// either way (full telemetry in thread mode, reconstructed from the row
-/// in process mode -- same contract as a journal resume).
+/// health-event lines.  The lines are rendered inside the worker and
+/// shipped back byte-exact; `result` is the verdict slice reconstructed
+/// from the row (same contract as a journal resume), or the full error row
+/// the supervisor rendered for a worker death.
 struct ExecutedScenario {
   ScenarioResult result;
   std::string line;
   std::vector<std::string> health_lines;
 };
 
-/// Executes dispatch units (one spec, or one batch-coalesced group) under
-/// the configured isolation mode.  One executor per campaign/server worker
+/// Executes dispatch units (one spec, or one batch-coalesced group) in a
+/// sandbox worker process.  One executor per campaign/server worker
 /// thread; not itself thread-safe except interrupt(), which any thread may
 /// call to kill the in-flight unit's worker process.
 class ScenarioExecutor {
  public:
-  /// `counters` and `abandoned`, when given, must outlive the executor.
+  /// `counters`, when given, must outlive the executor.
   explicit ScenarioExecutor(IsolationConfig config,
-                            SandboxCounters* counters = nullptr,
-                            std::atomic<std::size_t>* abandoned = nullptr);
+                            SandboxCounters* counters = nullptr);
   ~ScenarioExecutor();
 
   ScenarioExecutor(const ScenarioExecutor&) = delete;
@@ -105,8 +130,6 @@ class ScenarioExecutor {
   /// Re-arms the executor after a withdrawn unit (the server reuses its
   /// per-worker executor across jobs).
   void clear_interrupt() noexcept;
-
-  IsolationMode mode() const noexcept;
 
   /// Implementation state (public so the supervisor's file-local helpers
   /// can take it by reference; the definition stays in sandbox.cpp).

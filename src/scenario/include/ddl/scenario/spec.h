@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "ddl/analysis/bench_json.h"
 #include "ddl/cells/operating_point.h"
 #include "ddl/control/closed_loop.h"
 #include "ddl/control/dvfs.h"
@@ -114,9 +116,7 @@ enum class ScenarioError {
   kResourceLimit,  ///< Sandbox worker hit its RLIMIT_AS / RLIMIT_CPU cap.
   kWorkerLost,     ///< Worker vanished for an unattributable reason (pipe
                    ///< EOF mid-scenario, external kill) -- transient, so it
-                   ///< retries like a timeout -- or, in thread mode, the
-                   ///< abandoned-worker cap tripped and the campaign
-                   ///< refuses to start new watchdog attempts.
+                   ///< retries like a timeout.
 };
 
 std::string_view to_string(ScenarioError error) noexcept;
@@ -208,20 +208,20 @@ struct ScenarioSpec {
 
   // --- Test hooks (exercised by the campaign isolation tests and the
   // runner's --inject-hang flag; no built-in suite sets them) -------------
-  /// Cooperative hang: the guarded runner spins this long (polling its
-  /// cancellation token) before executing, so watchdog timeouts are
-  /// testable without a real deadlock.
+  /// Hang: the sandbox worker sleeps this long before executing, so
+  /// watchdog timeouts are testable without a real deadlock.  The
+  /// in-process ScenarioRunner ignores it.
   std::uint64_t debug_hang_ms = 0;
   /// How many attempts hang; later attempts run normally (retry testing).
   int debug_hang_attempts = 1;
   /// The guarded runner throws instead of executing (exception capture).
   bool debug_throw = false;
-  /// Crash injection (process-mode sandbox testing; the runner's
-  /// --inject-crash flag): "segv" / "abort" raise the fatal signal inside
+  /// Crash injection (sandbox testing; the runner's --inject-crash flag): "segv" / "abort" raise the fatal signal inside
   /// the sandbox worker, "oom" allocates until the worker's RLIMIT_AS cap
   /// kills it, "spin" busy-loops until RLIMIT_CPU or the watchdog does.
-  /// Empty = no injection.  Only honored by the out-of-process worker: a
-  /// thread-mode run ignores it rather than crash the host process.
+  /// Empty = no injection.  Only honored by the sandbox worker: the
+  /// in-process ScenarioRunner ignores it rather than crash the host
+  /// process.
   std::string debug_crash;
 
   /// The regulation target the steady-state window is judged against: the
@@ -250,5 +250,45 @@ std::vector<std::string> validate(const ScenarioSpec& spec);
 /// re-running the DesignCalculator.
 std::vector<std::string> validate(const ScenarioSpec& spec,
                                   std::size_t line_cells);
+
+// ---- Spec codec -------------------------------------------------------------
+//
+// The one flat-JSON dialect a spec travels in: job journals, sandbox
+// worker frames, service submissions and chaos replay bundles.
+
+/// Serializes a complete ScenarioSpec as a flat JsonObject (vectors are
+/// flattened as `faults.<i>.<field>` / `dvfs.<i>.<field>`): the replay
+/// bundle dialect, parseable by `analysis::parse_flat_json_line`.
+analysis::JsonObject spec_to_json(const ScenarioSpec& spec);
+
+/// Appends the same flat serialization onto an existing object (whose own
+/// fields -- a frame type, a sequence number -- stay in front).  The
+/// sandbox supervisor ships specs to its worker processes this way.
+void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec);
+
+/// Rebuilds a spec from the flat dialect.  Unknown keys are ignored and
+/// missing keys keep their defaults, so bundles stay forward-compatible;
+/// throws std::invalid_argument on unparseable enum values.
+ScenarioSpec spec_from_json(const std::map<std::string, std::string>& fields);
+
+/// A strict parse attempt: the rebuilt spec plus every problem found.
+/// `errors` uses the same human-readable shape as validate() messages
+/// ("<key>: <what went wrong>"); the spec keeps defaults for every field
+/// that failed to parse, so callers can still render context from it.
+struct SpecParse {
+  ScenarioSpec spec;
+  std::vector<std::string> errors;
+  bool ok() const noexcept { return errors.empty(); }
+};
+
+/// Strict counterpart of spec_from_json for untrusted input (the campaign
+/// service's submit path): never throws or aborts.  Collects an error for
+/// every wrong-typed field (the whole value must parse -- "8oops" is
+/// rejected, not truncated), every unparseable enum, and -- unless
+/// `allow_unknown` -- every key outside the spec dialect (typo'd field
+/// names fail loudly instead of silently keeping a default).
+SpecParse spec_from_json_checked(
+    const std::map<std::string, std::string>& fields,
+    bool allow_unknown = false);
 
 }  // namespace ddl::scenario

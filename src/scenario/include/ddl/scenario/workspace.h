@@ -18,10 +18,8 @@
 // error rows do not depend on whether the cache was warm.
 //
 // Threading: a workspace is single-owner state (one worker at a time, like
-// the mc_batch BatchWorkspace).  The watchdog hands it to attempt threads
-// sequentially and *drops* it when an attempt is abandoned past the grace
-// window -- the runaway thread keeps its shared_ptr alive, the next
-// attempt simply starts a fresh arena.
+// the mc_batch BatchWorkspace): a runner pool thread or a sandbox worker
+// process keeps one across the scenarios it runs.
 #pragma once
 
 #include <cstdint>

@@ -30,8 +30,7 @@ struct Executed {
 };
 
 /// One worker shard's reduction state: its executed entries plus the
-/// executor that ran them (thread mode: the watchdog + workspace arena;
-/// process mode: this shard's sandbox worker process).
+/// executor (this shard's sandbox worker process) that ran them.
 struct Shard {
   std::vector<Executed> entries;
   std::unique_ptr<ScenarioExecutor> executor;
@@ -101,7 +100,6 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
   }
 
   const IsolationConfig isolation = config_.isolation();
-  std::atomic<std::size_t> abandoned{0};
   SandboxCounters counters;
   analysis::ThreadPool pool(config_.jobs ? config_.jobs
                                          : analysis::default_thread_count());
@@ -124,7 +122,7 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
         }
         if (!shard.executor) {
           shard.executor = std::make_unique<ScenarioExecutor>(
-              isolation, &counters, &abandoned);
+              isolation, &counters);
         }
         std::vector<ScenarioSpec> unit_specs;
         unit_specs.reserve(unit.size());
@@ -198,7 +196,6 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
       outcome.health_jsonl += '\n';
     }
   }
-  outcome.abandoned_threads = abandoned.load();
   outcome.sandbox_crashes = counters.crashes.load();
   outcome.workers_respawned = counters.respawns.load();
   outcome.resource_kills = counters.resource_kills.load();

@@ -71,14 +71,8 @@ std::string runner_usage() {
       "                    verdict reproduces\n"
       "  --inject-hang MS  test hook: hang the first scenario's attempts\n"
       "                    for MS to exercise the watchdog\n"
-      "  --isolation MODE  where attempts run: 'process' (default; fork()ed\n"
-      "                    sandbox workers -- a crashing scenario becomes a\n"
-      "                    structured error row) or 'thread' (in-process\n"
-      "                    watchdog threads, lower overhead)\n"
       "  --mem-limit-mb N  RLIMIT_AS cap per sandbox worker, in MiB\n"
-      "                    (process isolation only; 0 = unlimited)\n"
       "  --cpu-limit-s N   RLIMIT_CPU cap per sandbox worker, in seconds\n"
-      "                    (process isolation only; 0 = unlimited)\n"
       "  --inject-crash KIND[@SUBSTR]\n"
       "                    test hook: crash scenarios inside the sandbox\n"
       "                    worker.  KIND is segv|abort|oom|spin; @SUBSTR\n"
@@ -189,15 +183,6 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
       if (parsed.error.empty() && options.inject_hang_ms == 0) {
         parsed.error = "--inject-hang must be positive";
       }
-    } else if (arg == "--isolation") {
-      if (const std::string* v = value()) {
-        if (*v != "thread" && *v != "process") {
-          parsed.error = "--isolation: '" + *v +
-                         "' is not one of thread|process";
-        } else {
-          options.isolation = *v;
-        }
-      }
     } else if (arg == "--mem-limit-mb") {
       number(options.mem_limit_mb);
       if (parsed.error.empty() && options.mem_limit_mb == 0) {
@@ -236,15 +221,6 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
 
   if (options.resume && options.journal_dir.empty()) {
     parsed.error = "--resume needs a journal directory";
-  }
-  if (options.isolation == "thread") {
-    if (!options.inject_crash_kind.empty()) {
-      parsed.error = "--inject-crash requires --isolation process (a thread-"
-                     "mode crash would take down the runner itself)";
-    } else if (options.mem_limit_mb > 0 || options.cpu_limit_s > 0) {
-      parsed.error = "--mem-limit-mb/--cpu-limit-s require --isolation "
-                     "process (thread workers share the runner's limits)";
-    }
   }
   if (!options.replay_path.empty() &&
       (options.chaos_storms > 0 || options.resume || options.list)) {

@@ -30,8 +30,8 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/scenario/batch_plan.h"
-#include "ddl/scenario/chaos.h"
 #include "ddl/scenario/journal.h"
+#include "ddl/scenario/spec.h"
 #include "ddl/scenario/workspace.h"
 #include "ddl/service/protocol.h"
 
@@ -207,7 +207,7 @@ ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
   }
   ScenarioResult result = run_scenario_guarded(spec, workspace).result;
   // Stamp the supervisor's attempt number so a retried-then-succeeded row
-  // is byte-identical to thread mode's.
+  // records how many attempts it took.
   result.attempts = attempt + 1;
   return result;
 }
@@ -364,10 +364,6 @@ struct UnitCollect {
 struct ScenarioExecutor::Impl {
   IsolationConfig config;
   SandboxCounters* counters = nullptr;
-  std::atomic<std::size_t>* abandoned = nullptr;
-
-  /// Thread-mode arena (run_scenario_isolated's workspace slot).
-  std::shared_ptr<ScenarioWorkspace> workspace;
 
   Sandbox box;
   /// Guards box.pid against interrupt() from another thread.
@@ -461,6 +457,13 @@ bool spawn_worker(ScenarioExecutor::Impl& impl) {
   {
     const std::lock_guard<std::mutex> lock(impl.pid_mutex);
     impl.box.pid = pid;
+    // An interrupt() that landed during the fork saw no pid to kill; its
+    // flag store precedes this lock, so the kill happens here instead and
+    // the unit's wait sees a dead worker it then withdraws.
+    if (impl.interrupted.load(std::memory_order_relaxed)) {
+      ::kill(-pid, SIGKILL);
+      ::kill(pid, SIGKILL);
+    }
   }
   impl.box.req_fd = req[1];
   impl.box.resp_fd = resp[0];
@@ -830,46 +833,17 @@ std::vector<ExecutedScenario> run_group_process(
   return out;
 }
 
-std::vector<ExecutedScenario> run_unit_thread(
-    ScenarioExecutor::Impl& impl, const std::vector<ScenarioSpec>& specs) {
-  std::vector<ExecutedScenario> out;
-  out.reserve(specs.size());
-  if (specs.size() == 1) {
-    out.push_back(render_result(
-        run_scenario_isolated(specs[0], impl.config, impl.abandoned,
-                              &impl.workspace)
-            .result,
-        impl.counters));
-    return out;
-  }
-  if (!impl.workspace) {
-    impl.workspace = std::make_shared<ScenarioWorkspace>();
-  }
-  std::vector<ScenarioResult> results(specs.size());
-  const BatchPlan plan = plan_batches(specs, *impl.workspace);
-  for (const BatchGroup& group : plan.groups) {
-    run_batch_group(specs, group, *impl.workspace, /*threads=*/1, results);
-  }
-  for (const std::size_t index : plan.scalar) {
-    results[index] = run_scenario_isolated(specs[index], impl.config,
-                                           impl.abandoned, &impl.workspace)
-                         .result;
-  }
-  for (ScenarioResult& result : results) {
-    out.push_back(render_result(std::move(result), impl.counters));
-  }
-  return out;
-}
-
 }  // namespace
 
+std::uint64_t auto_timeout_ms(const ScenarioSpec& spec) {
+  return 10'000 + 20 * spec.periods;
+}
+
 ScenarioExecutor::ScenarioExecutor(IsolationConfig config,
-                                   SandboxCounters* counters,
-                                   std::atomic<std::size_t>* abandoned)
+                                   SandboxCounters* counters)
     : impl_(std::make_unique<Impl>()) {
   impl_->config = config;
   impl_->counters = counters;
-  impl_->abandoned = abandoned;
 }
 
 ScenarioExecutor::~ScenarioExecutor() {
@@ -880,9 +854,6 @@ std::vector<ExecutedScenario> ScenarioExecutor::run_unit(
     const std::vector<ScenarioSpec>& specs) {
   if (specs.empty() || impl_->interrupted.load(std::memory_order_relaxed)) {
     return {};
-  }
-  if (impl_->config.mode == IsolationMode::kThread) {
-    return run_unit_thread(*impl_, specs);
   }
   bool withdrawn = false;
   if (specs.size() == 1) {
@@ -917,10 +888,6 @@ bool ScenarioExecutor::interrupted() const noexcept {
 
 void ScenarioExecutor::clear_interrupt() noexcept {
   impl_->interrupted.store(false, std::memory_order_relaxed);
-}
-
-IsolationMode ScenarioExecutor::mode() const noexcept {
-  return impl_->config.mode;
 }
 
 }  // namespace ddl::scenario

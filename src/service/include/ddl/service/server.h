@@ -1,7 +1,7 @@
 // The campaign service daemon: a TCP (loopback) and Unix-domain-socket
 // server that accepts ScenarioSpec / chaos-campaign submissions over the
-// framed protocol (protocol.h), schedules them onto a watchdog-isolated
-// worker pool, and streams result / health / progress frames back.
+// framed protocol (protocol.h), schedules them onto a sandboxed worker
+// pool, and streams result / health / progress frames back.
 //
 // Durability is the PR-5 write-ahead journal, per job: every accepted job
 // gets `state_dir/jobs/<job_id>/` holding its spec list, journal and
@@ -40,9 +40,8 @@
 //
 // Threading: one event-loop thread owns every session, job and journal
 // writer (poll over the listeners, client sockets and a self-pipe);
-// `workers` pool threads each own a scenario::ScenarioExecutor -- in the
-// default process isolation a fork()ed sandbox worker whose crash or
-// resource-limit death becomes a structured error row (and whose process
+// `workers` pool threads each own a scenario::ScenarioExecutor -- a
+// fork()ed sandbox worker whose crash or resource-limit death becomes a structured error row (and whose process
 // group a cancel kills) -- and hand completions back through the
 // self-pipe.  `request_stop()` is
 // async-signal-safe (atomic store + pipe write), so a SIGTERM handler can
@@ -55,7 +54,7 @@
 #include <string>
 #include <vector>
 
-#include "ddl/scenario/isolation.h"
+#include "ddl/scenario/sandbox.h"
 
 namespace ddl::service {
 
@@ -118,7 +117,6 @@ struct ServiceStats {
   std::size_t backpressure_frames = 0;
   std::size_t error_frames = 0;
   std::size_t heartbeats = 0;
-  std::size_t abandoned_threads = 0;  ///< Workers detached past grace.
   std::size_t jobs_cancelled = 0;     ///< Jobs torn down by a `cancel`.
   std::size_t replay_jobs = 0;        ///< Jobs born from `submit_replay`.
   std::size_t sessions_timed_out = 0;  ///< Dead-peer / partial-frame kills.
@@ -126,7 +124,7 @@ struct ServiceStats {
   /// Dispatch units that coalesced >1 batch-eligible MC-yield scenario
   /// into one worker claim (run as packed kernel lanes).
   std::size_t batched_units = 0;
-  /// Sandbox containment (process isolation; see ddl/scenario/sandbox.h).
+  /// Sandbox containment (see ddl/scenario/sandbox.h).
   std::size_t sandbox_crashes = 0;    ///< Workers killed by a fatal signal.
   std::size_t workers_respawned = 0;  ///< Replacement workers forked.
   std::size_t resource_kills = 0;     ///< Workers killed by RLIMIT caps.

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "ddl/scenario/cli.h"
+#include "ddl/scenario/spec.h"
 #include "ddl/service/net_util.h"
 
 namespace ddl::service {

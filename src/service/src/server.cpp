@@ -35,6 +35,7 @@
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/sandbox.h"
+#include "ddl/scenario/spec.h"
 #include "ddl/scenario/workspace.h"
 #include "ddl/service/net_util.h"
 #include "ddl/service/protocol.h"
@@ -214,7 +215,6 @@ struct ScenarioServer::Impl {
   bool workers_quit = false;
   std::mutex completion_mutex;
   std::deque<Completion> completions;
-  std::atomic<std::size_t> abandoned{0};
   scenario::SandboxCounters sandbox_counters;
 
   /// In-flight dispatch units by worker index, so handle_cancel can kill
@@ -309,8 +309,8 @@ struct ScenarioServer::Impl {
 
   /// Nonblocking flush; leftover bytes wait for POLLOUT.  EINTR is a
   /// retry, never a peer-gone signal (net::retry_eintr) -- the bug class
-  /// this helper exists to kill is a SIGCHLD from a watchdog-isolated
-  /// worker tearing down an innocent session mid-send.
+  /// this helper exists to kill is a SIGCHLD from a sandbox worker
+  /// tearing down an innocent session mid-send.
   void flush_outbox(Session& session) {
     while (session.outbox_offset < session.outbox.size()) {
       const ssize_t sent = net::retry_eintr([&] {
@@ -778,12 +778,9 @@ struct ScenarioServer::Impl {
       task_queue.assign(std::make_move_iterator(kept.begin()),
                         std::make_move_iterator(kept.end()));
     }
-    // Units already claimed by a worker: in process isolation the unit's
-    // sandbox worker (a whole process group) is killed and the unit comes
-    // back `withdrawn` -- no row, no journal entry.  In thread mode the
-    // interrupt is a no-op and the attempt finishes and journals normally
-    // (the old cooperative teardown); either way the journal stays
-    // consistent.
+    // Units already claimed by a worker: the unit's sandbox worker (a
+    // whole process group) is killed and the unit comes back `withdrawn`
+    // -- no row, no journal entry, so the journal stays consistent.
     {
       std::lock_guard<std::mutex> lock(active_mutex);
       for (auto& [worker_index, unit] : active_units) {
@@ -1418,12 +1415,10 @@ struct ScenarioServer::Impl {
 
   // --- Worker / event threads -------------------------------------------
 
-  /// Runs one dispatch unit on the calling worker's executor.  In process
-  /// isolation the unit ships whole into the worker's sandbox child (one
-  /// batched kernel dispatch for multi-entry units); in thread mode the
-  /// executor wraps the watchdog path and batch planner directly.  Rows
-  /// come back as pre-rendered JSONL bytes either way, byte-identical
-  /// across modes.  An empty executor return means interrupt() killed the
+  /// Runs one dispatch unit on the calling worker's executor.  The unit
+  /// ships whole into the worker's sandbox child (one batched kernel
+  /// dispatch for multi-entry units), and rows come back as pre-rendered
+  /// JSONL bytes.  An empty executor return means interrupt() killed the
   /// unit mid-flight (cancel): each entry completes as `withdrawn`.
   std::vector<Completion> run_unit(Task& task,
                                    scenario::ScenarioExecutor& executor) {
@@ -1458,11 +1453,9 @@ struct ScenarioServer::Impl {
   }
 
   void worker_main(std::size_t worker_index) {
-    // One executor per worker: in process mode it owns a long-lived
-    // sandbox child (respawned on death); in thread mode it carries the
-    // scenario arena whose sizing caches persist across units.
-    scenario::ScenarioExecutor executor(config.isolation, &sandbox_counters,
-                                        &abandoned);
+    // One executor per worker: it owns a long-lived sandbox child
+    // (respawned on death) whose sizing caches persist across units.
+    scenario::ScenarioExecutor executor(config.isolation, &sandbox_counters);
     for (;;) {
       Task task;
       {
@@ -1474,9 +1467,9 @@ struct ScenarioServer::Impl {
         }
         task = std::move(task_queue.front());
         task_queue.pop_front();
-      }
-      {
-        std::lock_guard<std::mutex> lock(active_mutex);
+        // Registered before task_mutex is released, so handle_cancel finds
+        // every unit either still queued or already interruptible.
+        std::lock_guard<std::mutex> active_lock(active_mutex);
         active_units[worker_index] = ActiveUnit{task.job_id, &executor};
       }
       std::vector<Completion> batch = run_unit(task, executor);
@@ -1812,7 +1805,6 @@ ServiceStats ScenarioServer::stats() const {
   Impl& impl = *impl_;
   std::lock_guard<std::mutex> lock(impl.stats_mutex);
   ServiceStats snapshot = impl.stats_data;
-  snapshot.abandoned_threads = impl.abandoned.load();
   snapshot.sandbox_crashes = impl.sandbox_counters.crashes.load();
   snapshot.workers_respawned = impl.sandbox_counters.respawns.load();
   snapshot.resource_kills = impl.sandbox_counters.resource_kills.load();

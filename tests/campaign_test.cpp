@@ -237,8 +237,6 @@ TEST(CampaignIsolationTest, HungScenarioTimesOutAsStructuredErrorRow) {
   for (std::size_t i = 1; i < outcome.results.size(); ++i) {
     EXPECT_TRUE(outcome.results[i].pass) << outcome.results[i].name;
   }
-  // Cooperative hangs join inside the grace window: no abandoned threads.
-  EXPECT_EQ(outcome.abandoned_threads, 0u);
 }
 
 TEST(CampaignIsolationTest, TransientHangSucceedsOnRetry) {

@@ -1,9 +1,9 @@
 // Lane purity: a closed-loop scenario's result row and health events are
 // the same bytes whether it runs alone or in a plant-lane group -- at any
 // lane position, in groups of 1 to 8, beside any neighbours -- and through
-// every execution layer: ScenarioRunner and Campaign at --jobs 1 and 3,
-// thread and process isolation, a resume that regroups the pending specs,
-// and a multi-spec job on the campaign service.
+// every execution layer: ScenarioRunner and the sandboxed Campaign at
+// --jobs 1 and 3, a resume that regroups the pending specs, and a
+// multi-spec job on the campaign service.
 //
 // The specs are every closed-loop spec of the `regression` suite plus
 // seeded chaos storms (clock-period steps give lanes different period
@@ -37,7 +37,6 @@ using ddl::scenario::BatchGroup;
 using ddl::scenario::Campaign;
 using ddl::scenario::CampaignConfig;
 using ddl::scenario::FaultSpec;
-using ddl::scenario::IsolationMode;
 using ddl::scenario::ScenarioResult;
 using ddl::scenario::ScenarioRunner;
 using ddl::scenario::ScenarioSpec;
@@ -206,24 +205,18 @@ TEST(LanePurityTest, EveryLanePositionInGroupsOfOneToEight) {
   }
 }
 
-TEST(LanePurityTest, RunnerAndCampaignAtJobsOneAndThreeInBothIsolations) {
+TEST(LanePurityTest, RunnerAndCampaignAtJobsOneAndThree) {
   const Reference& ref = reference();
   for (const std::size_t jobs : {1u, 3u}) {
     const auto results = ScenarioRunner(jobs).run(ref.specs);
     EXPECT_EQ(ScenarioRunner::jsonl(results), ref.jsonl) << "runner " << jobs;
     EXPECT_EQ(ScenarioRunner::health_jsonl(results), ref.health);
-    for (const IsolationMode mode :
-         {IsolationMode::kThread, IsolationMode::kProcess}) {
-      CampaignConfig config;
-      config.jobs = jobs;
-      config.isolation_mode = mode;
-      const auto outcome = Campaign(config).run(ref.specs);
-      EXPECT_EQ(outcome.jsonl(), ref.jsonl)
-          << "campaign jobs " << jobs << " "
-          << ddl::scenario::to_string(mode);
-      EXPECT_EQ(outcome.health_jsonl, ref.health);
-      EXPECT_EQ(outcome.executed, ref.specs.size());
-    }
+    CampaignConfig config;
+    config.jobs = jobs;
+    const auto outcome = Campaign(config).run(ref.specs);
+    EXPECT_EQ(outcome.jsonl(), ref.jsonl) << "campaign jobs " << jobs;
+    EXPECT_EQ(outcome.health_jsonl, ref.health);
+    EXPECT_EQ(outcome.executed, ref.specs.size());
   }
 }
 

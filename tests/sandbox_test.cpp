@@ -1,9 +1,9 @@
 // Tests for the process-level scenario sandbox: crash-taxonomy
 // classification (SIGSEGV / SIGABRT / RLIMIT_AS / RLIMIT_CPU -> structured
-// ScenarioError rows), worker respawn, thread-vs-process byte-identity,
-// journaled crash rows replaying byte-identically on resume, cancel
-// interrupts, the thread-mode abandoned-worker cap, and the journal
-// writer's fail-closed disk-fault handling.
+// ScenarioError rows), worker respawn, byte-identity with the in-process
+// ScenarioRunner, golden timeout rows, journaled crash rows replaying
+// byte-identically on resume, cancel interrupts, and the journal writer's
+// fail-closed disk-fault handling.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,13 +41,13 @@ using ddl::scenario::Campaign;
 using ddl::scenario::CampaignConfig;
 using ddl::scenario::ExecutedScenario;
 using ddl::scenario::IsolationConfig;
-using ddl::scenario::IsolationMode;
 using ddl::scenario::JournalIoError;
 using ddl::scenario::JournalWriter;
 using ddl::scenario::LoadSpec;
 using ddl::scenario::ScenarioError;
 using ddl::scenario::ScenarioExecutor;
 using ddl::scenario::ScenarioRegistry;
+using ddl::scenario::ScenarioRunner;
 using ddl::scenario::ScenarioSpec;
 
 ScenarioSpec quick_spec(const std::string& variant, std::uint64_t seed) {
@@ -71,7 +71,6 @@ ScenarioSpec crashing_spec(const std::string& kind) {
 
 CampaignConfig process_config() {
   CampaignConfig config;
-  config.isolation_mode = IsolationMode::kProcess;
   config.jobs = 1;
   return config;
 }
@@ -152,43 +151,38 @@ TEST(SandboxTest, CpuLimitKillClassifiesAsResourceLimit) {
   EXPECT_EQ(outcome.resource_kills, 1u);
 }
 
-// ---- Byte-identity across isolation modes ---------------------------------
+// ---- Byte-identity with the in-process runner ------------------------------
 
-TEST(SandboxTest, ThreadAndProcessStreamsAreByteIdentical) {
+TEST(SandboxTest, SandboxedCampaignStreamsMatchTheInProcessRunner) {
   std::vector<ScenarioSpec> specs = {quick_spec("a", 11), quick_spec("b", 12),
                                      quick_spec("c", 13)};
-  CampaignConfig thread_config = process_config();
-  thread_config.isolation_mode = IsolationMode::kThread;
-  const auto via_thread = Campaign(thread_config).run(specs);
-  const auto via_process = Campaign(process_config()).run(specs);
-  EXPECT_EQ(via_thread.jsonl(), via_process.jsonl());
-  EXPECT_EQ(via_thread.health_jsonl, via_process.health_jsonl);
-
-  CampaignConfig four = process_config();
-  four.jobs = 4;
-  const auto sharded = Campaign(four).run(specs);
-  EXPECT_EQ(via_process.jsonl(), sharded.jsonl());
+  const auto reference = ScenarioRunner(1).run(specs);
+  for (const std::size_t jobs : {1u, 4u}) {
+    CampaignConfig config = process_config();
+    config.jobs = jobs;
+    const auto outcome = Campaign(config).run(specs);
+    EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(reference)) << jobs;
+    EXPECT_EQ(outcome.health_jsonl, ScenarioRunner::health_jsonl(reference))
+        << jobs;
+  }
 }
 
-TEST(SandboxTest, ProcessTimeoutRowsMatchThreadModeByteForByte) {
+TEST(SandboxTest, TimeoutRowIsGolden) {
   ScenarioSpec hang = quick_spec("hang", 31);
   hang.debug_hang_ms = 30'000;
   hang.debug_hang_attempts = INT_MAX;
-  CampaignConfig process = process_config();
-  process.timeout_ms = 200;
-  process.max_retries = 1;
-  process.backoff_base_ms = 1;
-  CampaignConfig thread = process;
-  thread.isolation_mode = IsolationMode::kThread;
-  thread.grace_ms = 0;
+  CampaignConfig config = process_config();
+  config.timeout_ms = 200;
+  config.max_retries = 1;
+  config.backoff_base_ms = 1;
 
-  const auto via_process = Campaign(process).run({hang});
-  const auto via_thread = Campaign(thread).run({hang});
-  ASSERT_EQ(via_process.results.size(), 1u);
-  EXPECT_EQ(via_process.results[0].error, ScenarioError::kTimeout);
-  EXPECT_EQ(via_process.jsonl(), via_thread.jsonl());
-  EXPECT_EQ(via_process.timeouts, 1u);
-  EXPECT_EQ(via_thread.timeouts, 1u);
+  const auto outcome = Campaign(config).run({hang});
+  ASSERT_EQ(outcome.results.size(), 1u);
+  EXPECT_EQ(outcome.results[0].error, ScenarioError::kTimeout);
+  EXPECT_EQ(outcome.results[0].error_detail,
+            "watchdog: no completion within 200 ms after 2 attempt(s)");
+  EXPECT_EQ(outcome.results[0].attempts, 2);
+  EXPECT_EQ(outcome.timeouts, 1u);
 }
 
 // ---- Durability -----------------------------------------------------------
@@ -228,7 +222,6 @@ TEST(SandboxTest, GroupCrashDegradesToPerScenarioRetries) {
   specs.push_back(crashing_spec("segv"));
 
   IsolationConfig isolation;
-  isolation.mode = IsolationMode::kProcess;
   ScenarioExecutor executor(isolation);
   std::vector<ExecutedScenario> runs = executor.run_unit(specs);
   ASSERT_EQ(runs.size(), specs.size());
@@ -249,7 +242,6 @@ TEST(SandboxTest, GroupCrashDegradesToPerScenarioRetries) {
 
 TEST(SandboxTest, InterruptWithdrawsTheInFlightUnit) {
   IsolationConfig isolation;
-  isolation.mode = IsolationMode::kProcess;
   isolation.timeout_ms = 30'000;
   ScenarioExecutor executor(isolation);
 
@@ -274,42 +266,30 @@ TEST(SandboxTest, InterruptWithdrawsTheInFlightUnit) {
   EXPECT_TRUE(after.front().result.pass);
 }
 
-// ---- Thread-mode abandoned-worker cap -------------------------------------
-
-TEST(SandboxTest, AbandonedWorkerCapFailsFastInThreadMode) {
-  ScenarioSpec first_hang = quick_spec("hang_one", 51);
-  first_hang.debug_hang_ms = 30'000;
-  first_hang.debug_hang_attempts = INT_MAX;
-  ScenarioSpec second_hang = quick_spec("hang_two", 52);
-  second_hang.debug_hang_ms = 30'000;
-  second_hang.debug_hang_attempts = INT_MAX;
-
-  CampaignConfig config;
-  config.isolation_mode = IsolationMode::kThread;
-  config.jobs = 1;
-  config.timeout_ms = 100;
-  config.max_retries = 0;
-  config.backoff_base_ms = 1;
-  config.grace_ms = 0;  // Abandon immediately on timeout.
-  config.max_abandoned = 1;
-  const auto outcome =
-      Campaign(config).run({first_hang, second_hang, quick_spec("ok", 53)});
-
-  ASSERT_EQ(outcome.results.size(), 3u);
-  EXPECT_EQ(outcome.results[0].error, ScenarioError::kTimeout);
-  // The second hang would need another detached thread past the cap: it
-  // fails fast as kWorkerLost instead of starting one.  The cap is
-  // fail-closed -- every later scenario refuses too (a runner drowning in
-  // leaked threads must stop digging), which is what the structured rows
-  // and the `abandoned_threads` report are for.
-  EXPECT_EQ(outcome.results[1].error, ScenarioError::kWorkerLost);
-  EXPECT_EQ(outcome.results[1].error_detail,
-            "abandoned-worker cap (1) reached; refusing to start another "
-            "attempt thread");
-  EXPECT_EQ(outcome.results[1].attempts, 0);
-  EXPECT_EQ(outcome.results[2].error, ScenarioError::kWorkerLost);
-  EXPECT_EQ(outcome.abandoned_threads, 1u);
-  EXPECT_GE(outcome.workers_lost, 2u);
+TEST(SandboxTest, InterruptRacingTheWorkerSpawnStillWithdrawsTheUnit) {
+  // A fresh executor forks its worker lazily inside run_unit, so an
+  // interrupt swept across the first few milliseconds lands before, during
+  // and after the fork.  Every landing must withdraw the unit promptly; a
+  // lost interrupt would let the hang run its full 30 s instead.
+  IsolationConfig isolation;
+  isolation.timeout_ms = 60'000;
+  ScenarioSpec hang = quick_spec("hang_for_spawn_race", 43);
+  hang.debug_hang_ms = 30'000;
+  hang.debug_hang_attempts = INT_MAX;
+  for (int delay_us = 0; delay_us <= 3'000; delay_us += 100) {
+    ScenarioExecutor executor(isolation);
+    const auto start = std::chrono::steady_clock::now();
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+      executor.interrupt();
+    });
+    const std::vector<ExecutedScenario> runs = executor.run_unit({hang});
+    canceller.join();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(runs.empty()) << "interrupt after " << delay_us << " us";
+    EXPECT_LT(elapsed, std::chrono::seconds(10))
+        << "interrupt after " << delay_us << " us";
+  }
 }
 
 // ---- Journal disk faults --------------------------------------------------

@@ -221,9 +221,6 @@ int main(int argc, char** argv) {
   config.max_retries = options.retries;
   config.backoff_base_ms = options.backoff_ms;
   config.stop = &g_stop;
-  config.isolation_mode = options.isolation == "thread"
-                              ? scenario::IsolationMode::kThread
-                              : scenario::IsolationMode::kProcess;
   config.limits.mem_limit_mb = options.mem_limit_mb;
   config.limits.cpu_limit_s = options.cpu_limit_s;
   std::signal(SIGTERM, on_signal);
@@ -296,11 +293,9 @@ int main(int argc, char** argv) {
   report.set("retried", static_cast<std::uint64_t>(outcome.retried));
   report.set("timeouts", static_cast<std::uint64_t>(outcome.timeouts));
   report.set("exceptions", static_cast<std::uint64_t>(outcome.exceptions));
-  report.set("abandoned_threads",
-             static_cast<std::uint64_t>(outcome.abandoned_threads));
   report.set("skipped", static_cast<std::uint64_t>(outcome.skipped));
   report.set("interrupted", outcome.interrupted);
-  report.set("isolation", options.isolation);
+  report.set("isolation", "process");
   report.set("sandbox_crashes",
              static_cast<std::uint64_t>(outcome.sandbox_crashes));
   report.set("workers_respawned",

@@ -54,14 +54,10 @@ std::string usage() {
       "                     (default 32; the job continues as an orphan)\n"
       "  --timeout-ms N     watchdog deadline per attempt (0 = per-spec)\n"
       "  --retries N        extra attempts for timed-out scenarios\n"
-      "  --isolation MODE   where worker attempts run: 'process' (default;\n"
-      "                     fork()ed sandbox workers -- a crashing scenario\n"
-      "                     becomes a structured error row and the daemon\n"
-      "                     survives) or 'thread' (in-process watchdogs)\n"
       "  --mem-limit-mb N   RLIMIT_AS cap per sandbox worker, in MiB\n"
-      "                     (process isolation only; 0 = unlimited)\n"
+      "                     (0 = unlimited)\n"
       "  --cpu-limit-s N    RLIMIT_CPU cap per sandbox worker, in seconds\n"
-      "                     (process isolation only; 0 = unlimited)\n"
+      "                     (0 = unlimited)\n"
       "  --help             this text\n";
 }
 
@@ -135,17 +131,6 @@ ServerOptions parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--retries") {
       u64_of(i, "--retries", number);
       options.config.isolation.max_retries = static_cast<int>(number);
-    } else if (arg == "--isolation") {
-      if (const std::string* text = value_of(i, "--isolation")) {
-        if (*text == "thread") {
-          options.config.isolation.mode = scenario::IsolationMode::kThread;
-        } else if (*text == "process") {
-          options.config.isolation.mode = scenario::IsolationMode::kProcess;
-        } else {
-          options.error =
-              "--isolation: '" + *text + "' is not one of thread|process";
-        }
-      }
     } else if (arg == "--mem-limit-mb") {
       u64_of(i, "--mem-limit-mb", options.config.isolation.limits.mem_limit_mb);
     } else if (arg == "--cpu-limit-s") {
@@ -157,13 +142,6 @@ ServerOptions parse_args(const std::vector<std::string>& args) {
   if (options.ok() && !options.config.enable_tcp &&
       options.config.unix_path.empty()) {
     options.error = "--no-tcp without --unix leaves nothing to listen on";
-  }
-  if (options.ok() &&
-      options.config.isolation.mode == scenario::IsolationMode::kThread &&
-      (options.config.isolation.limits.mem_limit_mb > 0 ||
-       options.config.isolation.limits.cpu_limit_s > 0)) {
-    options.error = "--mem-limit-mb/--cpu-limit-s require --isolation "
-                    "process (thread workers share the daemon's limits)";
   }
   return options;
 }
