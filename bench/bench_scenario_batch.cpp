@@ -6,9 +6,10 @@
 //                mc_force_scalar (the per-die scalar reference path), at
 //                the same thread count;
 //   closed loop  the regression suite's closed-loop specs through the
-//                runner's plant-lane groups versus one run_scenario per
+//                runner's plant-lane streams versus one run_scenario per
 //                spec (the scalar BuckConverter::run_period plant), both on
-//                one thread and measured in the same run.
+//                one thread and measured in the same run; plus the plan's
+//                exact lane fill.
 //
 // The planner's contract is byte-identity, so the bench also cross-checks
 // that each pair emits the identical JSONL (and health) streams before
@@ -23,6 +24,7 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/analysis/parallel.h"
+#include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
 
@@ -135,12 +137,21 @@ int main() {
               scalar_loop.wall_ms, scalar_loop.per_sec, lanes_speedup);
   std::printf("Lanes and scalar JSONL + health byte-identical: %s\n",
               lanes_equal ? "yes" : "NO -- PLANT LANES BROKE BYTE-IDENTITY");
+  ddl::scenario::ScenarioWorkspace workspace;
+  const auto cost = ddl::scenario::lane_stream_cost(
+      closed_loop, ddl::scenario::plan_batches(closed_loop, workspace));
+  std::printf("Lane fill: %llu member periods over %llu vector periods "
+              "= %.3f\n", static_cast<unsigned long long>(cost.periods),
+              static_cast<unsigned long long>(cost.vector_periods),
+              cost.fill());
   report.set("closed_loop_scenarios", static_cast<std::uint64_t>(
                                           closed_loop.size()));
   report.set("closed_loop_lanes_scenarios_per_sec", lanes.per_sec);
   report.set("closed_loop_scalar_scenarios_per_sec", scalar_loop.per_sec);
   report.set("closed_loop_lanes_speedup_vs_scalar", lanes_speedup);
   report.set("closed_loop_lanes_equal_scalar", lanes_equal);
+  report.set("closed_loop_lane_fill", cost.fill());
+  report.set("closed_loop_lane_vector_periods", cost.vector_periods);
 
   const auto path = report.write();
   std::printf("report: %s\n", path.c_str());

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
+#include <set>
 #include <vector>
 
 #include "ddl/analog/adc.h"
@@ -38,6 +38,56 @@ struct LoopMetrics {
   double mean_abs_error_v = 0.0;
   std::uint64_t distinct_duty_words = 0;  ///< > 2-3 suggests limit cycling.
   bool limit_cycling = false;
+};
+
+/// LoopMetrics over samples [from, to) of a loop's sample stream, built one
+/// sample at a time: feed every sample from the first on, in period order.
+/// A window reaching past the samples fed covers the ones that were; an
+/// empty window yields all-zero metrics.  DigitallyControlledBuck::metrics
+/// feeds its history through this, so the online and the history-based
+/// results are the same bits.
+class LoopMetricsAccumulator {
+ public:
+  /// `vref_v`: the reference the mean absolute error is measured from.
+  LoopMetricsAccumulator(std::uint64_t from, std::uint64_t to, double vref_v);
+
+  void add(const LoopSample& sample);
+  LoopMetrics metrics() const;
+
+ private:
+  std::uint64_t from_;
+  std::uint64_t to_;
+  double vref_v_;
+  std::uint64_t next_ = 0;  ///< Stream index of the next sample.
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double sum_sq_ = 0.0;
+  double sum_abs_err_ = 0.0;
+  double max_ripple_v_ = 0.0;
+  std::set<std::uint64_t> duty_words_;
+};
+
+/// First stream index where |vout - vref| stayed within `band_v` for
+/// `hold_periods` consecutive samples, built one sample at a time (the
+/// online form of DigitallyControlledBuck::settling_period).
+class SettleDetector {
+ public:
+  SettleDetector(double vref_v, double band_v,
+                 std::uint64_t hold_periods = 20);
+
+  void add(double vout);
+  bool settled() const noexcept { return period_ != kNever; }
+  /// The settling index, or ~0ULL while not settled.
+  std::uint64_t period() const noexcept { return period_; }
+
+ private:
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  double vref_v_;
+  double band_v_;
+  std::uint64_t hold_periods_;
+  std::uint64_t next_ = 0;
+  std::uint64_t consecutive_ = 0;
+  std::uint64_t period_ = kNever;
 };
 
 /// One switching period's controller output: what the pre-plant half of
@@ -80,8 +130,8 @@ class DigitallyControlledBuck {
                           PidController pid, dpwm::DpwmModel& dpwm);
 
   /// Runs `periods` switching periods against the load profile, recording
-  /// one LoopSample each.  Each period is begin_period, the plant's
-  /// run_period, then end_period.
+  /// one LoopSample each in history().  Each period is begin_period, the
+  /// plant's run_period, then end_period.
   void run(std::uint64_t periods, const LoadProfile& load);
 
   /// The pre-plant half of the next period: load current, ADC sample, PID
@@ -90,29 +140,24 @@ class DigitallyControlledBuck {
   /// which is bit-identical -- before end_period(step).
   PeriodStep begin_period(const LoadProfile& load);
 
-  /// The post-plant half: records the period's LoopSample from the plant's
-  /// state and notifies the sample observer.
-  void end_period(const PeriodStep& step);
+  /// The post-plant half: builds the period's LoopSample from the plant's
+  /// state, notifies the sample observer and returns it.  run() records it
+  /// in history(); a caller driving the two halves itself keeps what it
+  /// needs of it.
+  LoopSample end_period(const PeriodStep& step);
 
+  /// The samples run() recorded.
   const std::vector<LoopSample>& history() const noexcept { return history_; }
-
-  /// Reserves history for `periods` samples, so a run of known length
-  /// never regrows (and briefly doubles) it.
-  void reserve_history(std::size_t periods) { history_.reserve(periods); }
-
-  /// Moves the history out, leaving it empty; metrics and settling_period
-  /// then see no samples.
-  std::vector<LoopSample> take_history() noexcept {
-    return std::exchange(history_, {});
-  }
   const analog::BuckConverter& plant() const noexcept { return plant_; }
   analog::BuckConverter& plant() noexcept { return plant_; }
 
-  /// Metrics over history periods [from, to).
+  /// Metrics over history periods [from, to), measured from the current
+  /// reference (LoopMetricsAccumulator over the history).
   LoopMetrics metrics(std::uint64_t from, std::uint64_t to) const;
 
   /// First period index where |verr| stayed within `band_v` for
-  /// `hold_periods` consecutive periods; returns ~0ULL if never settled.
+  /// `hold_periods` consecutive periods; returns ~0ULL if never settled
+  /// (SettleDetector over the history).
   std::uint64_t settling_period(double band_v,
                                 std::uint64_t hold_periods = 20) const;
 

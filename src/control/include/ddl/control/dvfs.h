@@ -54,13 +54,22 @@ class VoltageModeManager {
   void apply_due(DigitallyControlledBuck& loop, std::uint64_t period);
 
   /// Per-transition reports over the loop's history from sample `base`
-  /// on, once apply_due has applied every mode.
+  /// on, once apply_due has applied every mode (a TransitionMeter fed the
+  /// history).
   std::vector<TransitionReport> reports(const DigitallyControlledBuck& loop,
                                         std::uint64_t base,
                                         std::uint64_t total_periods) const;
 
   const std::vector<VoltageMode>& schedule() const noexcept {
     return schedule_;
+  }
+  double band_v() const noexcept { return band_v_; }
+  std::uint64_t hold_periods() const noexcept { return hold_periods_; }
+
+  /// The loop's reference just before each applied mode took effect, one
+  /// per mode apply_due has applied so far, in schedule order.
+  const std::vector<double>& previous_vrefs() const noexcept {
+    return previous_vref_;
   }
 
  private:
@@ -69,6 +78,31 @@ class VoltageModeManager {
   std::uint64_t hold_periods_;
   /// The loop's reference just before each applied mode took effect.
   std::vector<double> previous_vref_;
+};
+
+/// The transition reports of one VoltageModeManager run, built one sample
+/// at a time.  Mode i is measured over periods [at_period_i, until_i),
+/// until_i being the next mode's at_period or, for the last mode,
+/// `total_periods`; periods count from the run's first sample.  Feed the
+/// loop's output for every period in ascending order, each after
+/// apply_due(period) -- so the modes whose windows it opens are applied.
+class TransitionMeter {
+ public:
+  /// `manager` must outlive the meter.
+  TransitionMeter(const VoltageModeManager& manager,
+                  std::uint64_t total_periods);
+
+  void add(std::uint64_t period, double vout);
+
+  /// One report per mode the manager has applied, schedule order.
+  std::vector<TransitionReport> reports() const;
+
+ private:
+  const VoltageModeManager* manager_;
+  std::uint64_t total_periods_;
+  std::vector<TransitionReport> reports_;  ///< Modes measured so far.
+  std::size_t entered_ = 0;  ///< Applied modes whose window has opened.
+  std::uint64_t consecutive_ = 0;
 };
 
 }  // namespace ddl::control

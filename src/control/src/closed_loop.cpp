@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 #include <random>
-#include <set>
 
 namespace ddl::control {
 
@@ -68,7 +67,7 @@ void DigitallyControlledBuck::run(std::uint64_t periods,
   for (std::uint64_t i = 0; i < periods; ++i) {
     const PeriodStep step = begin_period(load);
     plant_.run_period(step.pwm, step.load_a);
-    end_period(step);
+    history_.push_back(end_period(step));
   }
 }
 
@@ -90,7 +89,7 @@ PeriodStep DigitallyControlledBuck::begin_period(const LoadProfile& load) {
   return step;
 }
 
-void DigitallyControlledBuck::end_period(const PeriodStep& step) {
+LoopSample DigitallyControlledBuck::end_period(const PeriodStep& step) {
   LoopSample sample;
   sample.period_index = step.period_index;
   sample.vout = plant_.output_voltage();
@@ -98,10 +97,10 @@ void DigitallyControlledBuck::end_period(const PeriodStep& step) {
   sample.error_code = step.error_code;
   sample.duty_word = step.duty_word;
   sample.load_a = step.load_a;
-  history_.push_back(sample);
   if (observer_) {
-    observer_(history_.back());
+    observer_(sample);
   }
+  return sample;
 }
 
 void DigitallyControlledBuck::set_sample_observer(SampleObserver observer) {
@@ -110,35 +109,12 @@ void DigitallyControlledBuck::set_sample_observer(SampleObserver observer) {
 
 LoopMetrics DigitallyControlledBuck::metrics(std::uint64_t from,
                                              std::uint64_t to) const {
-  LoopMetrics m;
-  to = std::min<std::uint64_t>(to, history_.size());
-  if (from >= to) {
-    return m;
+  LoopMetricsAccumulator accumulator(from, to, adc_.params().vref);
+  const std::uint64_t end = std::min<std::uint64_t>(to, history_.size());
+  for (std::uint64_t i = 0; i < end; ++i) {
+    accumulator.add(history_[i]);
   }
-  const double vref = adc_.params().vref;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  double sum_abs_err = 0.0;
-  std::set<std::uint64_t> duty_words;
-  for (std::uint64_t i = from; i < to; ++i) {
-    const LoopSample& s = history_[i];
-    sum += s.vout;
-    sum_sq += s.vout * s.vout;
-    sum_abs_err += std::abs(s.vout - vref);
-    m.max_ripple_v = std::max(m.max_ripple_v, s.ripple_v);
-    duty_words.insert(s.duty_word);
-  }
-  const double n = static_cast<double>(to - from);
-  m.mean_vout = sum / n;
-  const double variance = std::max(0.0, sum_sq / n - m.mean_vout * m.mean_vout);
-  m.vout_stddev = std::sqrt(variance);
-  m.mean_abs_error_v = sum_abs_err / n;
-  m.distinct_duty_words = duty_words.size();
-  // Steady state should sit on at most two adjacent duty words; more means
-  // the loop is hunting (limit cycle from DPWM resolution coarser than the
-  // ADC window).
-  m.limit_cycling = m.distinct_duty_words > 3;
-  return m;
+  return accumulator.metrics();
 }
 
 void DigitallyControlledBuck::set_reference_v(double vref) {
@@ -149,18 +125,67 @@ void DigitallyControlledBuck::set_reference_v(double vref) {
 
 std::uint64_t DigitallyControlledBuck::settling_period(
     double band_v, std::uint64_t hold_periods) const {
-  const double vref = adc_.params().vref;
-  std::uint64_t consecutive = 0;
-  for (std::uint64_t i = 0; i < history_.size(); ++i) {
-    if (std::abs(history_[i].vout - vref) <= band_v) {
-      if (++consecutive >= hold_periods) {
-        return i + 1 - hold_periods;
-      }
-    } else {
-      consecutive = 0;
-    }
+  SettleDetector detector(adc_.params().vref, band_v, hold_periods);
+  for (std::size_t i = 0; i < history_.size() && !detector.settled(); ++i) {
+    detector.add(history_[i].vout);
   }
-  return ~std::uint64_t{0};
+  return detector.period();
+}
+
+LoopMetricsAccumulator::LoopMetricsAccumulator(std::uint64_t from,
+                                               std::uint64_t to,
+                                               double vref_v)
+    : from_(from), to_(to), vref_v_(vref_v) {}
+
+void LoopMetricsAccumulator::add(const LoopSample& sample) {
+  const std::uint64_t index = next_++;
+  if (index < from_ || index >= to_) {
+    return;
+  }
+  ++count_;
+  sum_ += sample.vout;
+  sum_sq_ += sample.vout * sample.vout;
+  sum_abs_err_ += std::abs(sample.vout - vref_v_);
+  max_ripple_v_ = std::max(max_ripple_v_, sample.ripple_v);
+  duty_words_.insert(sample.duty_word);
+}
+
+LoopMetrics LoopMetricsAccumulator::metrics() const {
+  LoopMetrics m;
+  if (count_ == 0) {
+    return m;
+  }
+  const double n = static_cast<double>(count_);
+  m.mean_vout = sum_ / n;
+  const double variance =
+      std::max(0.0, sum_sq_ / n - m.mean_vout * m.mean_vout);
+  m.vout_stddev = std::sqrt(variance);
+  m.max_ripple_v = max_ripple_v_;
+  m.mean_abs_error_v = sum_abs_err_ / n;
+  m.distinct_duty_words = duty_words_.size();
+  // Steady state should sit on at most two adjacent duty words; more means
+  // the loop is hunting (limit cycle from DPWM resolution coarser than the
+  // ADC window).
+  m.limit_cycling = m.distinct_duty_words > 3;
+  return m;
+}
+
+SettleDetector::SettleDetector(double vref_v, double band_v,
+                               std::uint64_t hold_periods)
+    : vref_v_(vref_v), band_v_(band_v), hold_periods_(hold_periods) {}
+
+void SettleDetector::add(double vout) {
+  const std::uint64_t index = next_++;
+  if (settled()) {
+    return;
+  }
+  if (std::abs(vout - vref_v_) <= band_v_) {
+    if (++consecutive_ >= hold_periods_) {
+      period_ = index + 1 - hold_periods_;
+    }
+  } else {
+    consecutive_ = 0;
+  }
 }
 
 }  // namespace ddl::control

@@ -54,33 +54,62 @@ void VoltageModeManager::apply_due(DigitallyControlledBuck& loop,
 std::vector<TransitionReport> VoltageModeManager::reports(
     const DigitallyControlledBuck& loop, std::uint64_t base,
     std::uint64_t total_periods) const {
-  std::vector<TransitionReport> reports;
-  for (std::size_t i = 0; i < previous_vref_.size(); ++i) {
-    const VoltageMode& mode = schedule_[i];
-    const std::uint64_t until = i + 1 < schedule_.size()
-                                    ? schedule_[i + 1].at_period
-                                    : total_periods;
+  TransitionMeter meter(*this, total_periods);
+  const std::vector<LoopSample>& history = loop.history();
+  for (std::uint64_t p = 0; base + p < history.size(); ++p) {
+    meter.add(p, history[base + p].vout);
+  }
+  return meter.reports();
+}
 
-    // Measure the transition over [at_period, until).
-    TransitionReport report;
-    report.mode = mode;
-    const double direction = mode.vref_v - previous_vref_[i];
-    std::uint64_t consecutive = 0;
-    for (std::uint64_t p = mode.at_period; p < until; ++p) {
-      const double vout = loop.history()[base + p].vout;
-      const double excursion =
-          direction >= 0.0 ? vout - mode.vref_v : mode.vref_v - vout;
-      report.overshoot_v = std::max(report.overshoot_v, excursion);
-      if (std::abs(vout - mode.vref_v) <= band_v_) {
-        if (++consecutive >= hold_periods_ && !report.settled) {
-          report.settled = true;
-          report.settle_periods = p + 1 - hold_periods_ - mode.at_period;
-        }
-      } else if (!report.settled) {
-        consecutive = 0;
-      }
+TransitionMeter::TransitionMeter(const VoltageModeManager& manager,
+                                 std::uint64_t total_periods)
+    : manager_(&manager), total_periods_(total_periods) {}
+
+void TransitionMeter::add(std::uint64_t period, double vout) {
+  const std::vector<VoltageMode>& schedule = manager_->schedule();
+  const std::vector<double>& previous = manager_->previous_vrefs();
+  // Windows are disjoint and ascending: `period` belongs to the last
+  // applied mode at or before it, if it precedes that mode's end.
+  while (entered_ < previous.size() &&
+         schedule[entered_].at_period <= period) {
+    ++entered_;
+    consecutive_ = 0;
+  }
+  if (entered_ == 0) {
+    return;
+  }
+  const std::size_t i = entered_ - 1;
+  const std::uint64_t until =
+      i + 1 < schedule.size() ? schedule[i + 1].at_period : total_periods_;
+  if (period >= until) {
+    return;
+  }
+  while (reports_.size() <= i) {
+    reports_.push_back(TransitionReport{schedule[reports_.size()]});
+  }
+  TransitionReport& report = reports_[i];
+  const VoltageMode& mode = report.mode;
+  const double direction = mode.vref_v - previous[i];
+  const double excursion =
+      direction >= 0.0 ? vout - mode.vref_v : mode.vref_v - vout;
+  report.overshoot_v = std::max(report.overshoot_v, excursion);
+  if (std::abs(vout - mode.vref_v) <= manager_->band_v()) {
+    if (++consecutive_ >= manager_->hold_periods() && !report.settled) {
+      report.settled = true;
+      report.settle_periods =
+          period + 1 - manager_->hold_periods() - mode.at_period;
     }
-    reports.push_back(report);
+  } else if (!report.settled) {
+    consecutive_ = 0;
+  }
+}
+
+std::vector<TransitionReport> TransitionMeter::reports() const {
+  const std::vector<VoltageMode>& schedule = manager_->schedule();
+  std::vector<TransitionReport> reports = reports_;
+  while (reports.size() < manager_->previous_vrefs().size()) {
+    reports.push_back(TransitionReport{schedule[reports.size()]});
   }
   return reports;
 }

@@ -8,10 +8,12 @@
 //                (line geometry, mismatch sigma, clock period, corner);
 //                their dies pack into shared kBatchLanes-wide blocks and
 //                the whole group is one batched dispatch.
-//   closed loop  up to analog::kPlantLanes closed-loop scenarios run in
-//                lockstep, period by period: each keeps its own line, ADC,
-//                PID, DPWM and supervisor, and analog::PlantLanes
-//                integrates their buck plants side by side in one vector.
+//   closed loop  a lane stream: closed-loop scenarios run in lockstep on
+//                analog::kPlantLanes lanes, period by period, and a lane
+//                freed by a finished scenario takes the next one.  Each
+//                keeps its own line, ADC, PID, DPWM and supervisor, and
+//                analog::PlantLanes integrates the live buck plants side
+//                by side in one vector.
 //
 // Byte-identity contract: a kernel lane's output is a pure function of its
 // own inputs -- lane position and neighbours are invisible -- so a grouped
@@ -32,15 +34,6 @@
 
 namespace ddl::scenario {
 
-/// Upper bound on the summed spec.periods of one closed-loop lane group.
-/// A group keeps every member's loop history alive at once (one 48-byte
-/// control::LoopSample per period, reserved up front), so this caps a
-/// group's sample memory at what one 9000-period scenario alone peaked at
-/// while its history still grew by doubling: 8192 + 16384 samples during
-/// the last regrowth, ~1.2 MB.  A constant, not a knob: a partly filled
-/// vector step costs about what a full one does.
-inline constexpr std::uint64_t kLaneGroupMaxPeriods = 8192 + 16384;
-
 /// True when `spec` may be grouped into an MC-yield batch: a valid
 /// MC-yield scenario (proposed line, power-on delay-cell faults only --
 /// validate() enforces the rest) with no scalar-forcing or debug hooks.
@@ -48,7 +41,7 @@ inline constexpr std::uint64_t kLaneGroupMaxPeriods = 8192 + 16384;
 /// service coalescer) routes a given spec the same way.
 bool batch_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace);
 
-/// True when `spec` may run in a closed-loop lane group: a valid closed-
+/// True when `spec` may run in a closed-loop lane stream: a valid closed-
 /// loop scenario (mc_dies == 0) with a feasible sizing and no debug hooks
 /// -- the hang/throw/crash injections keep the per-scenario watchdog and
 /// sandbox attempt path.
@@ -69,9 +62,9 @@ void finish_mc_yield(const ScenarioSpec& spec, std::vector<double> samples,
                      ScenarioResult& result);
 
 /// One planner group: spec indices (ascending) that run as one batched
-/// dispatch -- MC-yield scenarios sharing kernel parameters, or up to
-/// analog::kPlantLanes closed-loop scenarios (summed periods at most
-/// kLaneGroupMaxPeriods) in lockstep plant lanes.
+/// dispatch -- MC-yield scenarios sharing kernel parameters, or a closed-
+/// loop lane stream whose members fit analog::kPlantLanes lanes of its
+/// longest member's periods.
 struct BatchGroup {
   enum class Kind { kMcYield, kClosedLoop };
   Kind kind = Kind::kMcYield;
@@ -86,12 +79,28 @@ struct BatchPlan {
 };
 
 /// Classifies every spec and groups the eligible ones: MC-yield specs by
-/// kernel parameters, closed-loop specs packed longest first (so lanes
-/// finish together) under the kPlantLanes / kLaneGroupMaxPeriods bounds.
-/// A closed-loop spec left alone stays scalar.  Groups are ordered by
-/// first member; deterministic for a given spec list.
+/// kernel parameters; closed-loop specs longest first into lane streams,
+/// each taking the longest remaining spec L and packing kPlantLanes bins
+/// of L periods (each spec into the least-loaded bin, specs that do not
+/// fit wait for a later stream).  Re-planning one stream's members gives
+/// back that one group.  A closed-loop spec left alone stays scalar.
+/// Groups are ordered by first member; deterministic for a given spec
+/// list.
 BatchPlan plan_batches(const std::vector<ScenarioSpec>& specs,
                        ScenarioWorkspace& workspace);
+
+/// What a plan's closed-loop lane streams cost: `periods` sums their
+/// members' spec.periods, `vector_periods` each stream's longest member --
+/// the vector steps of all kPlantLanes lanes a stream takes when every
+/// freed lane refills at once.
+struct LaneStreamCost {
+  std::uint64_t periods = 0;
+  std::uint64_t vector_periods = 0;
+  /// periods / (kPlantLanes x vector_periods): the busy share of lanes.
+  double fill() const noexcept;
+};
+LaneStreamCost lane_stream_cost(const std::vector<ScenarioSpec>& specs,
+                                const BatchPlan& plan);
 
 /// The plan as dispatch units: each group's members, and each scalar spec
 /// on its own, ordered by first member.
@@ -101,9 +110,11 @@ std::vector<std::vector<std::size_t>> dispatch_units(const BatchPlan& plan);
 /// `results[index]`.  An MC group is one monte_carlo_batched_dies dispatch
 /// (`threads` as in mc_batch, 0 = default pool); a group-level failure
 /// degrades every member to the per-scenario guarded path -- never a lost
-/// row.  A closed-loop group runs its members in lockstep on the calling
-/// thread; an exception in one member becomes that member's guarded error
-/// row while the others run on.
+/// row.  A closed-loop group streams its members, longest first, through
+/// kPlantLanes lockstep lanes on the calling thread, refilling a lane as
+/// soon as its member concludes; an exception in one member becomes that
+/// member's guarded error row while the others run on.  Lane members keep
+/// no loop history.
 void run_batch_group(const std::vector<ScenarioSpec>& specs,
                      const BatchGroup& group, ScenarioWorkspace& workspace,
                      std::size_t threads, std::vector<ScenarioResult>& results);

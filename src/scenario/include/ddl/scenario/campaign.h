@@ -22,7 +22,7 @@
 //               scenario by `run_scenario_guarded` and are not retried
 //               (deterministic).
 //               The pending specs are planned first (batch_plan.h): each
-//               MC-yield group or closed-loop lane group is one dispatch
+//               MC-yield group or closed-loop lane stream is one dispatch
 //               unit, journaled member by member when it completes.
 //
 //   determinism the journal is completion-ordered (a durability log, not

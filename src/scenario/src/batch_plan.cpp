@@ -84,36 +84,37 @@ BatchPlan plan_batches(const std::vector<ScenarioSpec>& specs,
     plan.groups[it->second].members.push_back(i);
   }
 
-  // Closed-loop lanes: a lane group steps until its longest member ends,
-  // so members of similar length pack together -- longest first, so each
-  // group's cost is set by its first member and the long tail packs
-  // densely under the period bound.
+  // Closed-loop lane streams: a unit's lanes run until its longest member
+  // ends, and a lane freed by a finished member takes the next one.  So
+  // each unit takes the longest remaining spec L and fills kPlantLanes
+  // bins of capacity L in periods, longest first, each spec into the
+  // least-loaded bin; specs that do not fit wait for a later unit.
   std::stable_sort(closed_loop.begin(), closed_loop.end(),
                    [&](std::size_t a, std::size_t b) {
                      return specs[a].periods > specs[b].periods;
                    });
-  const auto close_group = [&](BatchGroup& group) {
-    if (group.members.size() == 1) {
-      plan.scalar.push_back(group.members.front());
-    } else if (!group.members.empty()) {
-      std::sort(group.members.begin(), group.members.end());
-      plan.groups.push_back(std::move(group));
+  while (!closed_loop.empty()) {
+    const std::uint64_t capacity = specs[closed_loop.front()].periods;
+    std::array<std::uint64_t, analog::kPlantLanes> bins{};
+    BatchGroup unit{BatchGroup::Kind::kClosedLoop, {}};
+    std::vector<std::size_t> rest;
+    for (const std::size_t index : closed_loop) {
+      std::uint64_t& bin = *std::min_element(bins.begin(), bins.end());
+      if (bin + specs[index].periods <= capacity) {
+        bin += specs[index].periods;
+        unit.members.push_back(index);
+      } else {
+        rest.push_back(index);
+      }
     }
-    group = BatchGroup{BatchGroup::Kind::kClosedLoop, {}};
-  };
-  BatchGroup lanes{BatchGroup::Kind::kClosedLoop, {}};
-  std::uint64_t lane_periods = 0;
-  for (const std::size_t index : closed_loop) {
-    const std::uint64_t periods = specs[index].periods;
-    if (lanes.members.size() == analog::kPlantLanes ||
-        lane_periods + periods > kLaneGroupMaxPeriods) {
-      close_group(lanes);
-      lane_periods = 0;
+    closed_loop = std::move(rest);
+    if (unit.members.size() == 1) {
+      plan.scalar.push_back(unit.members.front());
+    } else {
+      std::sort(unit.members.begin(), unit.members.end());
+      plan.groups.push_back(std::move(unit));
     }
-    lanes.members.push_back(index);
-    lane_periods += periods;
   }
-  close_group(lanes);
 
   std::sort(plan.scalar.begin(), plan.scalar.end());
   std::sort(plan.groups.begin(), plan.groups.end(),
@@ -121,6 +122,30 @@ BatchPlan plan_batches(const std::vector<ScenarioSpec>& specs,
               return a.members.front() < b.members.front();
             });
   return plan;
+}
+
+double LaneStreamCost::fill() const noexcept {
+  return vector_periods == 0
+             ? 0.0
+             : static_cast<double>(periods) /
+                   static_cast<double>(analog::kPlantLanes * vector_periods);
+}
+
+LaneStreamCost lane_stream_cost(const std::vector<ScenarioSpec>& specs,
+                                const BatchPlan& plan) {
+  LaneStreamCost cost;
+  for (const BatchGroup& group : plan.groups) {
+    if (group.kind != BatchGroup::Kind::kClosedLoop) {
+      continue;
+    }
+    std::uint64_t longest = 0;
+    for (const std::size_t index : group.members) {
+      cost.periods += specs[index].periods;
+      longest = std::max(longest, specs[index].periods);
+    }
+    cost.vector_periods += longest;
+  }
+  return cost;
 }
 
 std::vector<std::vector<std::size_t>> dispatch_units(const BatchPlan& plan) {
@@ -142,52 +167,71 @@ std::vector<std::vector<std::size_t>> dispatch_units(const BatchPlan& plan) {
 
 namespace {
 
-/// A closed-loop group in lockstep: every member's scalar pre-plant and
-/// post-plant halves, its plant on one analog::PlantLanes lane.
+/// A closed-loop lane stream: members queue longest first; each lane runs
+/// one member's plant on an analog::PlantLanes lane while the member's
+/// scalar pre-plant and post-plant halves run around it, and a lane whose
+/// member concludes takes the next queued member at once.
 void run_lane_group(const std::vector<ScenarioSpec>& specs,
                     const BatchGroup& group, ScenarioWorkspace& workspace,
                     std::vector<ScenarioResult>& results) {
-  const std::vector<std::size_t>& members = group.members;
+  std::vector<std::size_t> queue = group.members;
+  std::stable_sort(queue.begin(), queue.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return specs[a].periods > specs[b].periods;
+                   });
+  std::size_t next = 0;
+  std::array<std::size_t, analog::kPlantLanes> member{};
   std::array<std::unique_ptr<ClosedLoopRun>, analog::kPlantLanes> runs;
   std::array<control::PeriodStep, analog::kPlantLanes> steps;
   analog::PlantLanes lanes;
 
-  // Lane k's member leaves the group with its verdict, or with the guarded
-  // path's error row if anything it runs throws.
+  // The lane's member leaves with its verdict, or with the guarded path's
+  // error row if anything it runs throws.
   const auto conclude = [&](std::size_t lane, std::exception_ptr error) {
-    const ScenarioSpec& spec = specs[members[lane]];
-    results[members[lane]] = error ? make_exception_result(spec, error)
-                                   : runs[lane]->finish().result;
+    const ScenarioSpec& spec = specs[member[lane]];
+    results[member[lane]] = error ? make_exception_result(spec, error)
+                                  : runs[lane]->finish().result;
     runs[lane].reset();
   };
+  // Starts the lane's next plant period, first concluding members that
+  // have none left and refilling the lane from the queue; the lane idles
+  // once the queue is empty.
   const auto next_period = [&](std::size_t lane) {
-    try {
-      if (runs[lane]->begin_period(steps[lane])) {
-        lanes.start_period(lane, runs[lane]->plant(), steps[lane].pwm,
-                           steps[lane].load_a);
-        return;
+    for (;;) {
+      if (!runs[lane]) {
+        if (next == queue.size()) {
+          return;
+        }
+        member[lane] = queue[next++];
+        try {
+          runs[lane] = std::make_unique<ClosedLoopRun>(
+              specs[member[lane]], workspace, /*keep_history=*/false);
+        } catch (...) {
+          results[member[lane]] = make_exception_result(
+              specs[member[lane]], std::current_exception());
+          continue;
+        }
       }
-    } catch (...) {
-      conclude(lane, std::current_exception());
-      return;
+      try {
+        if (runs[lane]->begin_period(steps[lane])) {
+          lanes.start_period(lane, runs[lane]->plant(), steps[lane].pwm,
+                             steps[lane].load_a);
+          return;
+        }
+      } catch (...) {
+        conclude(lane, std::current_exception());
+        continue;
+      }
+      conclude(lane, nullptr);
     }
-    conclude(lane, nullptr);
   };
 
-  for (std::size_t lane = 0; lane < members.size(); ++lane) {
-    try {
-      runs[lane] =
-          std::make_unique<ClosedLoopRun>(specs[members[lane]], workspace);
-    } catch (...) {
-      results[members[lane]] =
-          make_exception_result(specs[members[lane]], std::current_exception());
-      continue;
-    }
+  for (std::size_t lane = 0; lane < analog::kPlantLanes; ++lane) {
     next_period(lane);
   }
   while (lanes.busy_mask() != 0) {
     const std::uint32_t finished = lanes.run();
-    for (std::size_t lane = 0; lane < members.size(); ++lane) {
+    for (std::size_t lane = 0; lane < analog::kPlantLanes; ++lane) {
       if (((finished >> lane) & 1u) == 0) {
         continue;
       }
@@ -195,7 +239,6 @@ void run_lane_group(const std::vector<ScenarioSpec>& specs,
         runs[lane]->end_period(steps[lane]);
       } catch (...) {
         conclude(lane, std::current_exception());
-        continue;
       }
       next_period(lane);
     }

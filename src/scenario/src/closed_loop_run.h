@@ -2,11 +2,13 @@
 // scenario library).
 //
 // run_scenario drives it one period at a time with the scalar plant; the
-// batch planner's lane groups drive up to analog::kPlantLanes of them in
+// batch planner's lane streams drive up to analog::kPlantLanes of them in
 // lockstep, their plants integrated together by analog::PlantLanes.  Both
 // paths share every step here -- build, lock, the fault/DVFS event
 // schedule, the verdict -- so a scenario's row is the same bytes whichever
-// path ran it.
+// path ran it.  The verdict's inputs (metrics, settle period, DVFS
+// transitions) accumulate online, one sample per period, so a run needs
+// no loop history; run_scenario keeps it only for its artifacts.
 #pragma once
 
 #include <exception>
@@ -23,8 +25,10 @@ class ClosedLoopRun {
  public:
   /// Builds and locks the system of a valid closed-loop spec (validate()
   /// passed, mc_dies == 0).  Throws what run_scenario would throw.  `spec`
-  /// and `workspace` must outlive the run.
-  ClosedLoopRun(const ScenarioSpec& spec, ScenarioWorkspace& workspace);
+  /// and `workspace` must outlive the run.  `keep_history`: record the
+  /// per-period LoopSample history for ScenarioArtifacts::history.
+  ClosedLoopRun(const ScenarioSpec& spec, ScenarioWorkspace& workspace,
+                bool keep_history);
   ~ClosedLoopRun();
   ClosedLoopRun(const ClosedLoopRun&) = delete;
   ClosedLoopRun& operator=(const ClosedLoopRun&) = delete;
@@ -42,7 +46,7 @@ class ClosedLoopRun {
   void end_period(const control::PeriodStep& step);
 
   /// The verdict, after begin_period returned false.  Moves the history
-  /// out; call once.
+  /// (if kept) out; call once.
   ScenarioArtifacts finish();
 
  private:

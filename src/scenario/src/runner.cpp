@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -347,7 +348,7 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
     return artifacts;
   }
 
-  ClosedLoopRun run(spec, workspace);
+  ClosedLoopRun run(spec, workspace, /*keep_history=*/true);
   control::PeriodStep step;
   while (run.begin_period(step)) {
     run.plant().run_period(step.pwm, step.load_a);
@@ -381,6 +382,11 @@ struct ClosedLoopRun::State {
   std::size_t next_event = 0;
   control::LoadProfile load;
   std::unique_ptr<control::VoltageModeManager> manager;
+  // The verdict's inputs, fed one sample per period.
+  std::optional<control::LoopMetricsAccumulator> metrics;
+  std::optional<control::SettleDetector> settle;       ///< Without DVFS.
+  std::optional<control::TransitionMeter> transitions;  ///< With DVFS.
+  bool keep_history = false;  ///< Record artifacts.history.
   std::uint64_t period = 0;  ///< The next period to run.
   std::uint64_t length = 0;  ///< Periods the loop runs (0: it never runs).
   bool concluded = false;    ///< The verdict needs no loop telemetry.
@@ -389,7 +395,7 @@ struct ClosedLoopRun::State {
 };
 
 ClosedLoopRun::ClosedLoopRun(const ScenarioSpec& spec,
-                             ScenarioWorkspace& workspace)
+                             ScenarioWorkspace& workspace, bool keep_history)
     : state_(std::make_unique<State>(spec)) {
   State& st = *state_;
   ScenarioResult& result = st.artifacts.result;
@@ -441,10 +447,13 @@ ClosedLoopRun::ClosedLoopRun(const ScenarioSpec& spec,
       analog::WindowAdc(analog::WindowAdcParams{spec.vref_v, 10e-3, 7}),
       control::PidController(pid_for(sys.dpwm->bits()), full, full / 3),
       modulator);
-  // A known-length run reserves its history once (capped, so an absurd
-  // period count still fails the way it always did: by running).
-  st.loop->reserve_history(
-      static_cast<std::size_t>(std::min(spec.periods, kMaxReservedHistory)));
+  // A known-length run keeping history reserves it once (capped, so an
+  // absurd period count still fails the way it always did: by running).
+  st.keep_history = keep_history;
+  if (keep_history) {
+    st.artifacts.history.reserve(
+        static_cast<std::size_t>(std::min(spec.periods, kMaxReservedHistory)));
+  }
   if (st.supervisor) {
     core::LockSupervisor* hook = st.supervisor.get();
     st.loop->set_sample_observer([hook](const control::LoopSample& sample) {
@@ -481,11 +490,17 @@ ClosedLoopRun::ClosedLoopRun(const ScenarioSpec& spec,
 
   st.load = spec.load.make(spec.seed);
   st.length = spec.periods;
-  if (!spec.dvfs.empty()) {
+  // Metrics are measured from the final reference: every mode is applied
+  // by the end of the run.
+  st.metrics.emplace(spec.measure_from, spec.periods, spec.final_vref_v());
+  if (spec.dvfs.empty()) {
+    st.settle.emplace(spec.vref_v, spec.settle_band_v);
+  } else {
     // validate() rejects runtime faults combined with DVFS schedules.
     st.manager = std::make_unique<control::VoltageModeManager>(
         spec.dvfs, spec.settle_band_v);
     st.length = st.manager->run_length(spec.periods);
+    st.transitions.emplace(*st.manager, spec.periods);
   }
 }
 
@@ -519,8 +534,18 @@ analog::BuckConverter& ClosedLoopRun::plant() {
 }
 
 void ClosedLoopRun::end_period(const control::PeriodStep& step) {
-  state_->loop->end_period(step);
-  ++state_->period;
+  State& st = *state_;
+  const control::LoopSample sample = st.loop->end_period(step);
+  if (st.keep_history) {
+    st.artifacts.history.push_back(sample);
+  }
+  st.metrics->add(sample);
+  if (st.settle) {
+    st.settle->add(sample.vout);
+  } else {
+    st.transitions->add(st.period, sample.vout);
+  }
+  ++st.period;
 }
 
 ScenarioArtifacts ClosedLoopRun::finish() {
@@ -531,9 +556,8 @@ ScenarioArtifacts ClosedLoopRun::finish() {
   const ScenarioSpec& spec = st.spec;
   ScenarioArtifacts& artifacts = st.artifacts;
   ScenarioResult& result = artifacts.result;
-  control::DigitallyControlledBuck& loop = *st.loop;
-  if (st.manager) {
-    artifacts.transitions = st.manager->reports(loop, 0, spec.periods);
+  if (st.transitions) {
+    artifacts.transitions = st.transitions->reports();
   }
 
   if (st.supervisor) {
@@ -544,19 +568,18 @@ ScenarioArtifacts ClosedLoopRun::finish() {
     result.health = st.supervisor->events();
   }
 
-  result.metrics = loop.metrics(spec.measure_from, spec.periods);
-  result.efficiency = loop.plant().energy().efficiency();
+  result.metrics = st.metrics->metrics();
+  result.efficiency = st.loop->plant().energy().efficiency();
   result.transitions_total = artifacts.transitions.size();
   for (const auto& transition : artifacts.transitions) {
     if (transition.settled) {
       ++result.transitions_settled;
     }
   }
-  if (spec.dvfs.empty()) {
-    const std::uint64_t settle = loop.settling_period(spec.settle_band_v);
-    result.settle_period = settle == ~std::uint64_t{0}
-                               ? -1
-                               : static_cast<std::int64_t>(settle);
+  if (st.settle) {
+    result.settle_period = st.settle->settled()
+                               ? static_cast<std::int64_t>(st.settle->period())
+                               : -1;
   }
 
   // Verdict: first failed check names the failure.  The recovery checks
@@ -588,7 +611,6 @@ ScenarioArtifacts ClosedLoopRun::finish() {
     result.pass = true;
   }
 
-  artifacts.history = loop.take_history();
   return std::move(artifacts);
 }
 
@@ -748,7 +770,7 @@ std::vector<ScenarioResult> ScenarioRunner::run(
         .push_back(&group);
   }
 
-  // Pool items: each closed-loop lane group (lockstep on one worker), then
+  // Pool items: each closed-loop lane stream (lockstep on one worker), then
   // each scalar spec.  Every item writes only its own members' rows, and
   // each worker keeps a workspace arena (sizing reused across its items).
   std::vector<ScenarioResult> results(specs.size());

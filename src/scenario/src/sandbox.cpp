@@ -262,8 +262,9 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
 
   std::signal(SIGPIPE, SIG_IGN);
 #ifdef __GLIBC__
-  // A worker runs unit after unit, and a closed-loop lane group holds up to
-  // eight loop histories (tens to hundreds of KiB each) at once.  glibc
+  // A worker runs unit after unit, each allocating and freeing buffers of
+  // tens to hundreds of KiB (a scalar run's loop history, the delay-line
+  // systems of a lane stream's live members).  glibc
   // raises its mmap threshold past the first freed block, after which such
   // buffers come from the brk heap and fragment it, so the worker's peak
   // RSS creeps above its largest unit's live set.  A fixed threshold keeps

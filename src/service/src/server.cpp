@@ -534,26 +534,36 @@ struct ScenarioServer::Impl {
         slot.inflight++;
         note_dispatch(slot.name);
         task.entries.push_back(TaskEntry{i, job.specs[i]});
-        // Coalesce: when the claimed scenario is batch-eligible, later
-        // pending batch-eligible scenarios of the same job join this
-        // dispatch unit (up to the inflight quota) so the worker can pack
-        // them into SoA kernel lanes.  Still one unit per rotation --
-        // the extra entries spend quota the client would have spent on
-        // later rotations, so cross-client fairness is unchanged.
+        // Coalesce: when the claimed scenario is batch-eligible (MC
+        // yield) or lane-eligible (closed loop), the job's next pending
+        // scenarios of the same kind join this dispatch unit (up to the
+        // inflight quota, and up to the first pending scenario of another
+        // kind, so a job still dispatches in spec order) and the worker
+        // packs them into SoA kernel lanes or a plant-lane stream.  Still
+        // one unit per rotation -- the extra entries spend quota the
+        // client would have spent on later rotations, so cross-client
+        // fairness is unchanged.
+        bool (*eligible)(const scenario::ScenarioSpec&,
+                         scenario::ScenarioWorkspace&) = nullptr;
         if (scenario::batch_eligible(job.specs[i], plan_workspace)) {
-          for (std::size_t j = i + 1;
-               j < job.specs.size() &&
-               slot.inflight < config.max_inflight_per_client;
-               ++j) {
-            if (job.state[j] != SpecState::kPending ||
-                !scenario::batch_eligible(job.specs[j], plan_workspace)) {
-              continue;
-            }
-            job.state[j] = SpecState::kInflight;
-            slot.inflight++;
-            note_dispatch(slot.name);
-            task.entries.push_back(TaskEntry{j, job.specs[j]});
+          eligible = &scenario::batch_eligible;
+        } else if (scenario::lane_eligible(job.specs[i], plan_workspace)) {
+          eligible = &scenario::lane_eligible;
+        }
+        for (std::size_t j = i + 1;
+             eligible != nullptr && j < job.specs.size() &&
+             slot.inflight < config.max_inflight_per_client;
+             ++j) {
+          if (job.state[j] != SpecState::kPending) {
+            continue;
           }
+          if (!eligible(job.specs[j], plan_workspace)) {
+            break;
+          }
+          job.state[j] = SpecState::kInflight;
+          slot.inflight++;
+          note_dispatch(slot.name);
+          task.entries.push_back(TaskEntry{j, job.specs[j]});
         }
         if (task.entries.size() > 1) {
           bump(&ServiceStats::batched_units);

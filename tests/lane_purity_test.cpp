@@ -1,6 +1,7 @@
 // Lane purity: a closed-loop scenario's result row and health events are
-// the same bytes whether it runs alone or in a plant-lane group -- at any
-// lane position, in groups of 1 to 8, beside any neighbours -- and through
+// the same bytes whether it runs alone or in a plant-lane stream -- at any
+// lane position, in streams of 1 to 16 (past 8, freed lanes refill), beside
+// any neighbours, after members that never reach a plant period -- and through
 // every execution layer: ScenarioRunner and the sandboxed Campaign at
 // --jobs 1 and 3, a resume that regroups the pending specs, and a
 // multi-spec job on the campaign service.
@@ -137,6 +138,26 @@ void spit(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// True when `members`, longest first, each into the least-loaded of
+/// kPlantLanes lanes, never load a lane past the longest member.
+bool fits_lanes_of_longest(const std::vector<ScenarioSpec>& specs,
+                           std::vector<std::size_t> members) {
+  std::stable_sort(members.begin(), members.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return specs[a].periods > specs[b].periods;
+                   });
+  const std::uint64_t capacity = specs[members.front()].periods;
+  std::vector<std::uint64_t> lanes(ddl::analog::kPlantLanes, 0);
+  for (const std::size_t index : members) {
+    std::uint64_t& lane = *std::min_element(lanes.begin(), lanes.end());
+    lane += specs[index].periods;
+    if (lane > capacity) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(LanePurityTest, SpecsCoverTheLaneEdgeCases) {
   const Reference& ref = reference();
   ScenarioWorkspace workspace;
@@ -157,51 +178,159 @@ TEST(LanePurityTest, SpecsCoverTheLaneEdgeCases) {
   EXPECT_TRUE(supervised);
   EXPECT_TRUE(dvfs);
   EXPECT_FALSE(ref.health.empty());
-  // And the planner really packs them into lane groups.
+  // And the planner really streams them through lanes: each stream's
+  // members fit kPlantLanes lanes of its longest member (least-loaded lane
+  // first, longest first -- what the executor's refill does), and
+  // re-planning one stream's members -- as a sandbox worker does with its
+  // unit -- gives back exactly that stream.
   const auto plan = ddl::scenario::plan_batches(ref.specs, workspace);
   std::size_t laned = 0;
   for (const BatchGroup& group : plan.groups) {
     ASSERT_EQ(group.kind, BatchGroup::Kind::kClosedLoop);
-    EXPECT_LE(group.members.size(), ddl::analog::kPlantLanes);
-    std::uint64_t periods = 0;
+    EXPECT_GE(group.members.size(), 2u);
+    EXPECT_TRUE(fits_lanes_of_longest(ref.specs, group.members));
+    std::vector<ScenarioSpec> unit;
     for (const std::size_t index : group.members) {
-      periods += ref.specs[index].periods;
+      unit.push_back(ref.specs[index]);
     }
-    EXPECT_LE(periods, ddl::scenario::kLaneGroupMaxPeriods);
+    const auto replanned = ddl::scenario::plan_batches(unit, workspace);
+    EXPECT_TRUE(replanned.scalar.empty());
+    ASSERT_EQ(replanned.groups.size(), 1u);
+    EXPECT_EQ(replanned.groups.front().members.size(), unit.size());
     laned += group.members.size();
   }
   EXPECT_GE(laned, ref.specs.size() - 1);
+}
+
+TEST(LanePurityTest, RegressionPlanCostIsPinned) {
+  // The regression suite's 53 closed-loop specs (173,700 periods) stream
+  // through 6 units costing 22,500 vector periods: fill 0.965 of 8 lanes.
+  std::vector<ScenarioSpec> specs;
+  for (const ScenarioSpec& spec :
+       ddl::scenario::ScenarioRegistry::builtin().expand("regression")) {
+    if (spec.mc_dies == 0) {
+      specs.push_back(spec);
+    }
+  }
+  ScenarioWorkspace workspace;
+  const auto plan = ddl::scenario::plan_batches(specs, workspace);
+  EXPECT_TRUE(plan.scalar.empty());
+  EXPECT_EQ(plan.groups.size(), 6u);
+  const auto cost = ddl::scenario::lane_stream_cost(specs, plan);
+  EXPECT_EQ(cost.periods, 173'700u);
+  EXPECT_EQ(cost.vector_periods, 22'500u);
+  EXPECT_GE(cost.fill(), 0.96);
+}
+
+/// Spec indices sorted by length, shortest first (stable).
+std::vector<std::size_t> length_order(const std::vector<ScenarioSpec>& specs) {
+  std::vector<std::size_t> order(specs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return specs[a].periods < specs[b].periods;
+                   });
+  return order;
+}
+
+/// Runs the window of `size` specs from `start` of `order` (wrapping) as
+/// one closed-loop group and checks every member's bytes.
+void expect_window_matches(const Reference& ref,
+                           const std::vector<std::size_t>& order,
+                           std::size_t start, std::size_t size,
+                           ScenarioWorkspace& workspace,
+                           std::vector<ScenarioResult>& results) {
+  BatchGroup group{BatchGroup::Kind::kClosedLoop, {}};
+  for (std::size_t k = 0; k < size; ++k) {
+    group.members.push_back(order[(start + k) % order.size()]);
+  }
+  ddl::scenario::run_batch_group(ref.specs, group, workspace, 1, results);
+  for (std::size_t k = 0; k < size; ++k) {
+    const std::size_t index = group.members[k];
+    ASSERT_EQ(bytes_of(results[index]), bytes_of(ref.alone[index]))
+        << ref.specs[index].name << " at window position " << k << " of "
+        << size;
+  }
 }
 
 TEST(LanePurityTest, EveryLanePositionInGroupsOfOneToEight) {
   // Sorted by length so each group's lanes finish close together; rotating
   // the window puts every spec at every lane position of every size.
   const Reference& ref = reference();
-  const std::size_t n = ref.specs.size();
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order[i] = i;
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return ref.specs[a].periods < ref.specs[b].periods;
-                   });
+  const std::vector<std::size_t> order = length_order(ref.specs);
   ScenarioWorkspace workspace;
-  std::vector<ScenarioResult> results(n);
+  std::vector<ScenarioResult> results(ref.specs.size());
   for (std::size_t size = 1; size <= ddl::analog::kPlantLanes; ++size) {
-    for (std::size_t start = 0; start < n; ++start) {
-      BatchGroup group{BatchGroup::Kind::kClosedLoop, {}};
-      for (std::size_t lane = 0; lane < size; ++lane) {
-        group.members.push_back(order[(start + lane) % n]);
-      }
-      ddl::scenario::run_batch_group(ref.specs, group, workspace, 1, results);
-      for (std::size_t lane = 0; lane < size; ++lane) {
-        const std::size_t index = group.members[lane];
-        ASSERT_EQ(bytes_of(results[index]), bytes_of(ref.alone[index]))
-            << ref.specs[index].name << " on lane " << lane << " of "
-            << size;
-      }
+    for (std::size_t start = 0; start < order.size(); ++start) {
+      expect_window_matches(ref, order, start, size, workspace, results);
     }
+  }
+}
+
+TEST(LanePurityTest, StreamsOfNineToSixteenRefillFreedLanes) {
+  // More members than lanes: the stream queues them longest first and a
+  // lane whose member ends takes the next one.  Each window's shortest
+  // size - 8 members enter refilled lanes, so rotating the window makes
+  // every spec a refill, behind every mix of earlier lane occupants.
+  const Reference& ref = reference();
+  const std::vector<std::size_t> order = length_order(ref.specs);
+  ScenarioWorkspace workspace;
+  std::vector<ScenarioResult> results(ref.specs.size());
+  for (std::size_t size = ddl::analog::kPlantLanes + 1;
+       size <= 2 * ddl::analog::kPlantLanes; ++size) {
+    for (std::size_t start = 0; start < order.size(); ++start) {
+      expect_window_matches(ref, order, start, size, workspace, results);
+    }
+  }
+}
+
+TEST(LanePurityTest, StreamsRefillPastMembersWithoutAPlantPeriod) {
+  // Members that conclude before their first plant period -- an expected
+  // lock failure, an unexpected one, and a build that throws -- queue
+  // mid-stream and hand their lane straight to the next member.
+  const Reference& ref = reference();
+  const std::vector<std::size_t> order = length_order(ref.specs);
+  std::vector<ScenarioSpec> specs = ref.specs;
+  std::vector<ScenarioResult> alone = ref.alone;
+  BatchGroup group{BatchGroup::Kind::kClosedLoop, {}};
+  for (std::size_t k = 0; k < 12; ++k) {
+    group.members.push_back(order[order.size() / 2 + k]);
+  }
+  const std::uint64_t mid_queue =
+      specs[order[order.size() / 2 + 3]].periods;  // Queue position ~8.
+  ASSERT_LT(specs[order[order.size() / 2]].periods, mid_queue);
+  ScenarioSpec no_lock =
+      ddl::scenario::ScenarioRegistry::builtin().expand("regression").front();
+  no_lock.name += "/no_lock";
+  no_lock.architecture = ddl::scenario::Architecture::kConventional;
+  no_lock.corner = ddl::cells::OperatingPoint::fast();
+  no_lock.periods = mid_queue;
+  no_lock.measure_from = 0;
+  ScenarioSpec expected_no_lock = no_lock;
+  expected_no_lock.name += "/expected";
+  expected_no_lock.expect_lock = false;
+  ScenarioSpec throws = no_lock;
+  throws.name += "/throws";
+  throws.architecture = ddl::scenario::Architecture::kHybrid;
+  throws.corner = ddl::cells::OperatingPoint::typical();
+  throws.clock_mhz = 1e5;  // Sizes, then the hybrid's build throws.
+  for (const ScenarioSpec& edge : {no_lock, expected_no_lock, throws}) {
+    group.members.push_back(specs.size());
+    specs.push_back(edge);
+    alone.push_back(ddl::scenario::run_scenario_guarded(edge).result);
+  }
+  EXPECT_EQ(alone[alone.size() - 3].failure_reason, "no_lock");
+  EXPECT_TRUE(alone[alone.size() - 2].pass);
+  EXPECT_EQ(alone.back().error, ddl::scenario::ScenarioError::kException);
+
+  ScenarioWorkspace workspace;
+  std::vector<ScenarioResult> results(specs.size());
+  ddl::scenario::run_batch_group(specs, group, workspace, 1, results);
+  for (const std::size_t index : group.members) {
+    EXPECT_EQ(bytes_of(results[index]), bytes_of(alone[index]))
+        << specs[index].name;
   }
 }
 
@@ -302,6 +431,8 @@ TEST(LanePurityTest, MultiSpecServiceJobStreamsTheSameBytes) {
     health_jsonl += line + "\n";
   }
   EXPECT_EQ(health_jsonl, ref.health);
+  // The job's closed-loop specs coalesced into multi-spec lane units.
+  EXPECT_GE(server.stats().batched_units, 1u);
   client.bye();
   server.stop();
 }

@@ -562,6 +562,10 @@ TEST(ServiceTest, RestartResumesTheJournalWithoutRerunningAnything) {
     ServiceConfig config = base_config();
     config.state_dir = state_dir;
     config.workers = 1;
+    // One scenario in flight at a time: a deeper quota would coalesce the
+    // job's closed-loop specs into one lane stream that a stop finishes
+    // whole.
+    config.max_inflight_per_client = 1;
     ScenarioServer server(config);
     ASSERT_TRUE(server.start());
     ScenarioClient client(client_for(server, "frank"));
@@ -703,6 +707,10 @@ TEST(ServiceTest, CancelTearsDownCooperativelyAndSurvivesRestart) {
     ServiceConfig config = base_config();
     config.state_dir = state_dir;
     config.workers = 1;
+    // One scenario in flight at a time: a deeper quota would coalesce the
+    // job's closed-loop specs into one lane stream that runs to the end
+    // once claimed.
+    config.max_inflight_per_client = 1;
     ScenarioServer server(config);
     ASSERT_TRUE(server.start());
     ScenarioClient client(client_for(server, "grace"));
