@@ -4,12 +4,13 @@
 // plain ScenarioRunner does not provide:
 //
 //   durability  every completed scenario is appended to an on-disk JSONL
-//               journal (write-ahead: health events first, then the result
-//               line as the commit record) next to a checkpoint manifest
-//               written via atomic tmp-file+rename.  A killed campaign
-//               resumes with `CampaignConfig::resume`: completed scenarios
-//               are skipped and their journaled lines reused *byte-exactly*,
-//               so the final stream is identical to an uninterrupted run.
+//               journal as one commit record (its health events, then its
+//               result line, in one append; journal.h) next to a manifest
+//               written once, when the journal is created.  A killed
+//               campaign resumes with `CampaignConfig::resume`: the journal
+//               is cut back to its last commit, completed scenarios are
+//               skipped and their journaled lines reused *byte-exactly*, so
+//               the final stream is identical to an uninterrupted run.
 //
 //   isolation   each scenario attempt runs in a sandbox worker process
 //               (sandbox.h) under a per-spec deadline (`timeout_ms`, or
@@ -43,11 +44,12 @@
 namespace ddl::scenario {
 
 struct CampaignConfig {
-  /// Journal + checkpoint-manifest directory; empty disables durability
+  /// Journal + manifest directory; empty disables durability
   /// (sandbox isolation still applies).  Created on demand.
   std::string journal_dir;
   /// Resume from an existing journal in `journal_dir`: the manifest must
-  /// fingerprint-match the spec list, completed scenarios are skipped.
+  /// be journal format 3 and fingerprint-match the spec list; completed
+  /// scenarios are skipped.
   bool resume = false;
   /// Worker threads; 0 resolves DDL_THREADS / hardware concurrency.
   std::size_t jobs = 0;
@@ -108,7 +110,7 @@ class Campaign {
   /// Runs (or resumes) the campaign over `specs`.  Spec names must be
   /// unique (the journal is keyed by name); throws std::invalid_argument
   /// otherwise, and std::runtime_error when `resume` is set but the
-  /// journal directory does not hold a matching campaign manifest.
+  /// journal directory does not hold a matching format-3 manifest.
   CampaignOutcome run(const std::vector<ScenarioSpec>& specs) const;
 
   const CampaignConfig& config() const noexcept { return config_; }

@@ -72,7 +72,8 @@ struct ReplayBundle {
 };
 
 /// Parses a bundle document.  Throws std::invalid_argument when the
-/// content is not a bundle.
+/// content is not a bundle or its `spec.` fields fail the strict spec
+/// parse (spec_from_json_checked).
 ReplayBundle parse_replay_bundle(const std::string& content);
 
 /// Re-runs a bundle's spec and checks the expected verdict reproduces.

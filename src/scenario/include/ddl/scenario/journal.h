@@ -2,24 +2,23 @@
 // campaign service daemon (ddl::service) shares the exact same durability
 // story as the one-shot runner.
 //
-// Layout of a journal directory:
+// Layout of a journal directory (journal format 3):
 //
-//   journal.jsonl         one result line per committed scenario (the
-//                         commit record; appended last, flushed)
-//   health_journal.jsonl  health-event lines, appended *before* the result
-//                         line (WAL ordering: an event line without its
-//                         commit record is discarded on load)
-//   manifest.json         checkpoint: spec fingerprint, total, completed
-//                         (atomic tmp+rename after every record)
+//   journal.jsonl   one commit record per scenario: its health-event lines
+//                   followed by its result line, written as one buffer in
+//                   one locked append.  The result line is the commit.
+//   manifest.json   spec fingerprint, scenario count and `"journal": 3`;
+//                   written once, when the journal is created.
 //
-// A torn tail (the chunk after the last '\n' of a killed append) is
-// dropped on load and truncated before appends resume.  Journaled lines
-// are byte-reused on resume, so a resumed stream is byte-identical to an
-// uninterrupted run.
+// resume_journal() cuts the file back to the end of its last result line:
+// a torn tail and the health lines of an uncommitted record go by the same
+// rule, so appends resume on a record boundary.  Journaled lines are
+// byte-reused on resume, so a resumed stream is byte-identical to an
+// uninterrupted run.  Format-2 directories (health lines in a second file,
+// a manifest rewritten per commit) are refused, not migrated.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -30,11 +29,11 @@
 
 namespace ddl::scenario {
 
-/// A journal append that could not be durably committed: the stream went
-/// bad on write or flush (ENOSPC, EIO, a yanked volume).  The journal is
-/// fail-closed -- the writer throws *before* the result line commits, so a
-/// caught JournalIoError never leaves a scenario half-recorded; resuming
-/// after freeing space replays from the last committed record.
+/// A journal append that could not be durably committed: the write failed
+/// (ENOSPC, EIO, a yanked volume).  The journal is fail-closed -- a record
+/// whose append did not complete has no durable commit, and resuming after
+/// freeing space cuts any partial bytes and replays from the last committed
+/// record.
 class JournalIoError : public std::runtime_error {
  public:
   JournalIoError(const std::string& what, int error_number)
@@ -50,7 +49,6 @@ class JournalIoError : public std::runtime_error {
 
 /// File paths inside a journal directory.
 std::string journal_path(const std::string& dir);
-std::string health_journal_path(const std::string& dir);
 std::string manifest_path(const std::string& dir);
 
 /// Reads a whole file as bytes; missing file = empty string.
@@ -74,25 +72,15 @@ struct JournalState {
   std::map<std::string, std::vector<std::string>> health;
 };
 
-/// Loads the committed slice of a journal directory.  Only health events
-/// of scenarios whose result line committed are restored (WAL ordering).
-JournalState load_journal(const std::string& dir);
-
-/// Rewrites the health journal without the lines load_journal skips --
-/// events of scenarios whose result line never committed, and a torn tail
-/// -- so the re-run of such a scenario does not append its events a second
-/// time for the next resume to serve.
-void drop_orphan_health(const std::string& dir, const JournalState& state);
-
-/// Truncates a journal file to its last complete line: a torn tail must be
-/// cut *before* appending resumes, or the first new record would
-/// concatenate onto it and corrupt both.
-void drop_torn_tail(const std::string& path);
-
-/// Throws std::runtime_error unless `dir` holds a manifest matching the
-/// fingerprint and scenario count (refuses to resume a different campaign).
-void check_resumable(const std::string& dir, const std::string& fingerprint,
-                     std::size_t scenarios);
+/// The one resume path of the campaign and the daemon.  Throws
+/// std::runtime_error unless `dir` holds a format-3 manifest matching the
+/// fingerprint and scenario count (a different campaign, or a format-2
+/// directory, is refused).  Loads every committed record, then truncates
+/// journal.jsonl to the end of the last result line so appends resume on a
+/// record boundary.
+JournalState resume_journal(const std::string& dir,
+                            const std::string& fingerprint,
+                            std::size_t scenarios);
 
 /// Rebuilds the verdict-bearing slice of a ScenarioResult from a journaled
 /// line's parsed fields, enough for summarize() and exit-code accounting;
@@ -101,32 +89,30 @@ void check_resumable(const std::string& dir, const std::string& fingerprint,
 ScenarioResult reconstruct_result(
     const std::map<std::string, std::string>& fields);
 
-/// Append-side of the journal: health events first, then the result line
-/// as the commit record, then the checkpoint manifest (atomic rename).
-/// Thread-safe (record() is internally locked).
+/// Append-side of the journal: one commit record (health lines, then the
+/// result line) per record() call, as one locked append.
 class JournalWriter {
  public:
-  /// Opens (append=true) or truncates the journal files and writes the
-  /// initial manifest.  Throws std::runtime_error when the directory is
+  /// Opens journal.jsonl for appending (append=true, after
+  /// resume_journal) or creates the journal: truncates journal.jsonl and
+  /// writes the manifest.  Throws std::runtime_error when the directory is
   /// not writable.
-  JournalWriter(std::string dir, std::string fingerprint, std::size_t total,
-                std::size_t completed, bool append);
+  JournalWriter(const std::string& dir, const std::string& fingerprint,
+                std::size_t scenarios, bool append);
+  ~JournalWriter();
 
+  JournalWriter(const JournalWriter&) = delete;
+  JournalWriter& operator=(const JournalWriter&) = delete;
+
+  /// Appends one commit record; throws JournalIoError when the bytes could
+  /// not all be written, and for every record after such a failure.
   void record(const std::string& line,
               const std::vector<std::string>& health_lines);
 
-  std::size_t completed() const;
-
  private:
-  void write_manifest();
-
-  std::string dir_;
-  std::string fingerprint_;
-  std::size_t total_ = 0;
-  std::size_t completed_ = 0;
-  mutable std::mutex mutex_;
-  std::ofstream journal_;
-  std::ofstream health_;
+  std::mutex mutex_;
+  int fd_ = -1;
+  int failed_errno_ = 0;  ///< errno of the first failed append, else 0.
 };
 
 }  // namespace ddl::scenario

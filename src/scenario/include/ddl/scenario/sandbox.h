@@ -6,7 +6,7 @@
 //
 //   supervisor (this process)              worker (forked child)
 //   ----------------------------          ---------------------------
-//   spec frames + go  ------------------>  spec_from_json, run
+//   spec frames + go  ------------------>  spec_from_json_checked, run
 //                     <------------------  health / row frames
 //                     <------------------  unit_done
 //   waitpid on death; classify; respawn

@@ -266,11 +266,6 @@ analysis::JsonObject spec_to_json(const ScenarioSpec& spec);
 /// sandbox supervisor ships specs to its worker processes this way.
 void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec);
 
-/// Rebuilds a spec from the flat dialect.  Unknown keys are ignored and
-/// missing keys keep their defaults, so bundles stay forward-compatible;
-/// throws std::invalid_argument on unparseable enum values.
-ScenarioSpec spec_from_json(const std::map<std::string, std::string>& fields);
-
 /// A strict parse attempt: the rebuilt spec plus every problem found.
 /// `errors` uses the same human-readable shape as validate() messages
 /// ("<key>: <what went wrong>"); the spec keeps defaults for every field
@@ -281,12 +276,13 @@ struct SpecParse {
   bool ok() const noexcept { return errors.empty(); }
 };
 
-/// Strict counterpart of spec_from_json for untrusted input (the campaign
-/// service's submit path): never throws or aborts.  Collects an error for
+/// Rebuilds a spec from the flat dialect: the one spec decoder.  Missing
+/// keys keep their defaults.  Never throws or aborts; collects an error for
 /// every wrong-typed field (the whole value must parse -- "8oops" is
 /// rejected, not truncated), every unparseable enum, and -- unless
 /// `allow_unknown` -- every key outside the spec dialect (typo'd field
-/// names fail loudly instead of silently keeping a default).
+/// names fail loudly instead of silently keeping a default).  Sandbox
+/// worker frames pass `allow_unknown` for their own frame keys.
 SpecParse spec_from_json_checked(
     const std::map<std::string, std::string>& fields,
     bool allow_unknown = false);

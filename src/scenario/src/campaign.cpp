@@ -68,13 +68,10 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
   if (!config_.journal_dir.empty()) {
     fs::create_directories(config_.journal_dir);
     if (config_.resume) {
-      check_resumable(config_.journal_dir, fingerprint, specs.size());
-      prior = load_journal(config_.journal_dir);
-      drop_torn_tail(journal_path(config_.journal_dir));
-      drop_orphan_health(config_.journal_dir, prior);
+      prior = resume_journal(config_.journal_dir, fingerprint, specs.size());
     }
     writer = std::make_unique<JournalWriter>(
-        config_.journal_dir, fingerprint, specs.size(), prior.lines.size(),
+        config_.journal_dir, fingerprint, specs.size(),
         /*append=*/config_.resume);
   }
 

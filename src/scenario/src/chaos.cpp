@@ -194,8 +194,13 @@ ReplayBundle parse_replay_bundle(const std::string& content) {
       spec_fields.emplace(key.substr(5), value);
     }
   }
+  SpecParse parsed = spec_from_json_checked(spec_fields);
+  if (!parsed.ok()) {
+    throw std::invalid_argument("replay bundle: spec." +
+                                parsed.errors.front());
+  }
   ReplayBundle bundle;
-  bundle.spec = spec_from_json(spec_fields);
+  bundle.spec = std::move(parsed.spec);
   if (const auto expected = fields->find("expected_failure_reason");
       expected != fields->end()) {
     bundle.expected_failure_reason = expected->second;

@@ -51,7 +51,7 @@ std::string runner_usage() {
       "  --health-out FILE write supervisor health events (one JSONL record\n"
       "                    per event, spec order) to FILE\n"
       "  --journal DIR     journal every completed scenario to DIR (crash-\n"
-      "                    safe: append-only JSONL + checkpoint manifest)\n"
+      "                    safe: one appended record per scenario)\n"
       "  --resume DIR      resume a killed campaign from DIR's journal;\n"
       "                    completed scenarios are skipped and the final\n"
       "                    streams stay byte-identical to an unbroken run\n"

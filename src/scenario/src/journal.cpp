@@ -1,12 +1,15 @@
 #include "ddl/scenario/journal.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/core/hash.h"
@@ -15,20 +18,6 @@
 namespace ddl::scenario {
 namespace {
 
-/// Splits a journal file into its *complete* lines: the chunk after the
-/// last '\n' (a torn append from a crash) is dropped.
-std::vector<std::string> complete_lines(const std::string& content) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < content.size(); ++i) {
-    if (content[i] == '\n') {
-      lines.push_back(content.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
 const std::string& field_or(const std::map<std::string, std::string>& fields,
                             const std::string& key) {
   static const std::string empty;
@@ -36,22 +25,35 @@ const std::string& field_or(const std::map<std::string, std::string>& fields,
   return it == fields.end() ? empty : it->second;
 }
 
-/// Raises JournalIoError when a journal stream went bad on write/flush,
-/// capturing errno for the operator ("No space left on device" beats a
-/// silent torn journal).  The errno is read *before* any further calls can
-/// clobber it.
-void check_stream(std::ofstream& stream, const char* label) {
-  if (stream) {
-    return;
-  }
-  const int error_number = errno;
-  std::string message = "campaign: " + std::string(label) + " write failed";
+/// The manifest's journal format: one file, one commit record per
+/// scenario.  Format 2 kept health lines in a second file.
+constexpr std::uint64_t kJournalFormat = 3;
+
+/// Raises JournalIoError for a failed append, capturing errno for the
+/// operator ("No space left on device" beats a silent torn journal).
+[[noreturn]] void throw_io_error(int error_number) {
+  std::string message = "campaign: journal write failed";
   if (error_number != 0) {
     message += ": ";
     message += std::strerror(error_number);
     message += " (errno " + std::to_string(error_number) + ")";
   }
   throw JournalIoError(message, error_number);
+}
+
+/// Writes all of `bytes` to `fd`, retrying short writes and EINTR.
+/// Returns 0, or the errno of the write that failed.
+int write_all(int fd, const std::string& bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      return n == 0 ? EIO : errno;
+    }
+  }
+  return 0;
 }
 
 std::string fnv1a_hex(const std::vector<ScenarioSpec>& specs,
@@ -67,9 +69,6 @@ std::string fnv1a_hex(const std::vector<ScenarioSpec>& specs,
 
 std::string journal_path(const std::string& dir) {
   return dir + "/journal.jsonl";
-}
-std::string health_journal_path(const std::string& dir) {
-  return dir + "/health_journal.jsonl";
 }
 std::string manifest_path(const std::string& dir) {
   return dir + "/manifest.json";
@@ -134,72 +133,23 @@ ScenarioResult reconstruct_result(
   return result;
 }
 
-void drop_torn_tail(const std::string& path) {
-  const std::string content = read_file(path);
-  const std::size_t last_newline = content.rfind('\n');
-  const std::size_t keep = last_newline == std::string::npos
-                               ? 0
-                               : last_newline + 1;
-  if (keep < content.size()) {
-    analysis::write_file_atomic(path, content.substr(0, keep));
-  }
-}
-
-void drop_orphan_health(const std::string& dir, const JournalState& state) {
-  const std::string path = health_journal_path(dir);
-  const std::string content = read_file(path);
-  std::string kept;
-  kept.reserve(content.size());
-  for (const std::string& line : complete_lines(content)) {
-    const auto fields = analysis::parse_flat_json_line(line);
-    if (fields && state.lines.count(field_or(*fields, "scenario")) != 0) {
-      kept += line;
-      kept += '\n';
-    }
-  }
-  if (kept.size() < content.size()) {
-    analysis::write_file_atomic(path, kept);
-  }
-}
-
-JournalState load_journal(const std::string& dir) {
-  JournalState state;
-  for (const std::string& line : complete_lines(read_file(journal_path(dir)))) {
-    const auto fields = analysis::parse_flat_json_line(line);
-    if (!fields) {
-      continue;  // Corrupt / torn record: treat the scenario as incomplete.
-    }
-    const std::string& name = field_or(*fields, "name");
-    if (!name.empty()) {
-      state.lines[name] = line;
-    }
-  }
-  for (const std::string& line :
-       complete_lines(read_file(health_journal_path(dir)))) {
-    const auto fields = analysis::parse_flat_json_line(line);
-    if (!fields) {
-      continue;
-    }
-    const std::string& scenario = field_or(*fields, "scenario");
-    // WAL ordering: health lines append before the result line commits, so
-    // only events of *committed* scenarios are restorable.
-    if (state.lines.count(scenario) != 0) {
-      state.health[scenario].push_back(line);
-    }
-  }
-  return state;
-}
-
-void check_resumable(const std::string& dir, const std::string& fingerprint,
-                     std::size_t scenarios) {
-  const std::string content = read_file(manifest_path(dir));
-  if (content.empty()) {
+JournalState resume_journal(const std::string& dir,
+                            const std::string& fingerprint,
+                            std::size_t scenarios) {
+  const std::string manifest = read_file(manifest_path(dir));
+  if (manifest.empty()) {
     throw std::runtime_error("campaign: no manifest to resume in '" + dir +
                              "'");
   }
-  const auto fields = analysis::parse_flat_json_line(content);
+  const auto fields = analysis::parse_flat_json_line(manifest);
   if (!fields) {
     throw std::runtime_error("campaign: unreadable manifest in '" + dir + "'");
+  }
+  if (field_or(*fields, "journal") != std::to_string(kJournalFormat)) {
+    throw std::runtime_error(
+        "campaign: '" + dir +
+        "' holds a format-2 journal (health lines in a second file); this "
+        "build resumes journal format 3 only -- start the campaign afresh");
   }
   if (field_or(*fields, "spec_hash") != fingerprint ||
       field_or(*fields, "scenarios") != std::to_string(scenarios)) {
@@ -208,56 +158,86 @@ void check_resumable(const std::string& dir, const std::string& fingerprint,
         "' was written for a different scenario list (suite/filter "
         "mismatch?); refusing to resume");
   }
-}
 
-JournalWriter::JournalWriter(std::string dir, std::string fingerprint,
-                             std::size_t total, std::size_t completed,
-                             bool append)
-    : dir_(std::move(dir)),
-      fingerprint_(std::move(fingerprint)),
-      total_(total),
-      completed_(completed) {
-  const auto mode =
-      std::ios::binary | (append ? std::ios::app : std::ios::trunc);
-  journal_.open(journal_path(dir_), mode);
-  health_.open(health_journal_path(dir_), mode);
-  if (!journal_ || !health_) {
-    throw std::runtime_error("campaign: cannot open journal files in " + dir_);
+  // Health lines stay pending until their record's result line commits
+  // them.  The first line that does not parse (a torn tail) ends the scan.
+  JournalState state;
+  const std::string path = journal_path(dir);
+  const std::string content = read_file(path);
+  std::vector<std::string> pending;
+  std::size_t committed_end = 0;
+  for (std::size_t start = 0, end = 0;
+       (end = content.find('\n', start)) != std::string::npos;
+       start = end + 1) {
+    std::string line = content.substr(start, end - start);
+    const auto record = analysis::parse_flat_json_line(line);
+    if (!record) {
+      break;
+    }
+    if (record->count("verdict") == 0) {
+      pending.push_back(std::move(line));
+      continue;
+    }
+    const std::string& name = field_or(*record, "name");
+    state.health[name] = std::move(pending);
+    state.lines[name] = std::move(line);
+    pending.clear();
+    committed_end = end + 1;
   }
-  write_manifest();
-}
-
-void JournalWriter::record(const std::string& line,
-                           const std::vector<std::string>& health_lines) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::string& health_line : health_lines) {
-    health_ << health_line << '\n';
+  if (committed_end < content.size()) {
+    std::filesystem::resize_file(path, committed_end);
   }
-  // WAL ordering doubles as the fail-closed story: the health stream is
-  // checked *before* the result line is attempted, so a disk fault (ENOSPC,
-  // EIO) never commits a result whose health events were torn away.
-  health_.flush();
-  check_stream(health_, "health journal");
-  journal_ << line << '\n';
-  journal_.flush();
-  check_stream(journal_, "journal");
-  ++completed_;
-  write_manifest();
+  return state;
 }
 
-std::size_t JournalWriter::completed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return completed_;
-}
-
-void JournalWriter::write_manifest() {
+JournalWriter::JournalWriter(const std::string& dir,
+                             const std::string& fingerprint,
+                             std::size_t scenarios, bool append) {
+  const int flags = O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC |
+                    (append ? 0 : O_TRUNC);
+  fd_ = ::open(journal_path(dir).c_str(), flags, 0644);
+  if (fd_ < 0) {
+    throw std::runtime_error("campaign: cannot open the journal in " + dir);
+  }
+  if (append) {
+    return;
+  }
+  // The journal is truncated before the manifest names it, so a crash in
+  // between never pairs a new manifest with an old campaign's records.
   analysis::JsonObject manifest;
   manifest.set("schema_version", analysis::kBenchJsonSchemaVersion);
   manifest.set("campaign", "scenario_campaign");
-  manifest.set("scenarios", static_cast<std::uint64_t>(total_));
-  manifest.set("spec_hash", fingerprint_);
-  manifest.set("completed", static_cast<std::uint64_t>(completed_));
-  analysis::write_file_atomic(manifest_path(dir_), manifest.to_json());
+  manifest.set("journal", kJournalFormat);
+  manifest.set("scenarios", static_cast<std::uint64_t>(scenarios));
+  manifest.set("spec_hash", fingerprint);
+  try {
+    analysis::write_file_atomic(manifest_path(dir), manifest.to_json());
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
+}
+
+JournalWriter::~JournalWriter() { ::close(fd_); }
+
+void JournalWriter::record(const std::string& line,
+                           const std::vector<std::string>& health_lines) {
+  std::string buffer;
+  for (const std::string& health_line : health_lines) {
+    buffer += health_line;
+    buffer += '\n';
+  }
+  buffer += line;
+  buffer += '\n';
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // A failed append may leave partial bytes; nothing appends after them,
+  // so the next resume cuts them as a torn tail.
+  if (failed_errno_ == 0) {
+    failed_errno_ = write_all(fd_, buffer);
+  }
+  if (failed_errno_ != 0) {
+    throw_io_error(failed_errno_);
+  }
 }
 
 }  // namespace ddl::scenario

@@ -305,11 +305,12 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
         if (index_of(*fields, "entry") != specs.size()) {
           ::_exit(kExitProtocol);
         }
-        try {
-          specs.push_back(spec_from_json(*fields));
-        } catch (...) {
+        SpecParse parsed = spec_from_json_checked(*fields,
+                                                  /*allow_unknown=*/true);
+        if (!parsed.ok()) {
           ::_exit(kExitProtocol);
         }
+        specs.push_back(std::move(parsed.spec));
         attempts.push_back(
             static_cast<int>(index_of(*fields, "attempt")));
       } else if (type == "go") {

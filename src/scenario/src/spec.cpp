@@ -14,48 +14,7 @@
 namespace ddl::scenario {
 namespace {
 
-// ---- Flat-spec field helpers ----------------------------------------------
-
-const std::string* find_field(const std::map<std::string, std::string>& fields,
-                              const std::string& key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? nullptr : &it->second;
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, std::string& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = *value;
-  }
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, double& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = std::strtod(value->c_str(), nullptr);
-  }
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, std::uint64_t& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = std::strtoull(value->c_str(), nullptr, 10);
-  }
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, int& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = std::atoi(value->c_str());
-  }
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, bool& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = *value == "true";
-  }
-}
+// ---- Flat-spec enum decoding ---------------------------------------------
 
 Architecture architecture_from_string(const std::string& text) {
   for (const Architecture architecture :
@@ -65,8 +24,7 @@ Architecture architecture_from_string(const std::string& text) {
       return architecture;
     }
   }
-  throw std::invalid_argument("spec_from_json: unknown architecture '" +
-                              text + "'");
+  throw std::invalid_argument("unknown architecture '" + text + "'");
 }
 
 cells::ProcessCorner corner_from_string(const std::string& text) {
@@ -77,8 +35,7 @@ cells::ProcessCorner corner_from_string(const std::string& text) {
       return corner;
     }
   }
-  throw std::invalid_argument("spec_from_json: unknown process corner '" +
-                              text + "'");
+  throw std::invalid_argument("unknown process corner '" + text + "'");
 }
 
 LoadSpec::Kind load_kind_from_string(const std::string& text) {
@@ -91,8 +48,7 @@ LoadSpec::Kind load_kind_from_string(const std::string& text) {
       return kind;
     }
   }
-  throw std::invalid_argument("spec_from_json: unknown load kind '" + text +
-                              "'");
+  throw std::invalid_argument("unknown load kind '" + text + "'");
 }
 
 FaultSpec::Kind fault_kind_from_string(const std::string& text) {
@@ -105,8 +61,7 @@ FaultSpec::Kind fault_kind_from_string(const std::string& text) {
       return kind;
     }
   }
-  throw std::invalid_argument("spec_from_json: unknown fault kind '" + text +
-                              "'");
+  throw std::invalid_argument("unknown fault kind '" + text + "'");
 }
 
 std::string indexed(const std::string& prefix, std::size_t i,
@@ -192,8 +147,8 @@ struct CheckedFields {
     }
   }
 
-  /// Enum fields: `parse` throws std::invalid_argument on unknown values
-  /// (the lenient parser's contract); here that becomes a collected error.
+  /// Enum fields: `parse` throws std::invalid_argument on unknown values;
+  /// here that becomes a collected error.
   template <typename T, typename Parse>
   void take_enum(const std::string& key, T& out, Parse parse) {
     if (const std::string* value = find(key)) {
@@ -613,98 +568,6 @@ void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec) {
   if (!spec.debug_crash.empty()) {
     object.set("debug_crash", spec.debug_crash);
   }
-}
-
-ScenarioSpec spec_from_json(
-    const std::map<std::string, std::string>& fields) {
-  ScenarioSpec spec;
-  get(fields, "name", spec.name);
-  get(fields, "family", spec.family);
-  if (const std::string* text = find_field(fields, "architecture")) {
-    spec.architecture = architecture_from_string(*text);
-  }
-  get(fields, "clock_mhz", spec.clock_mhz);
-  get(fields, "resolution_bits", spec.resolution_bits);
-  get(fields, "counter_bits", spec.counter_bits);
-  get(fields, "seed", spec.seed);
-  if (const std::string* text = find_field(fields, "corner.process")) {
-    spec.corner.corner = corner_from_string(*text);
-  }
-  get(fields, "corner.supply_v", spec.corner.supply_v);
-  get(fields, "corner.temperature_c", spec.corner.temperature_c);
-  get(fields, "temp_ramp_c_per_us", spec.temp_ramp_c_per_us);
-  get(fields, "supply_spike_v", spec.supply_spike_v);
-  get(fields, "spike_from_period", spec.spike_from_period);
-  get(fields, "spike_until_period", spec.spike_until_period);
-  get(fields, "vref_v", spec.vref_v);
-  if (const std::string* text = find_field(fields, "load.kind")) {
-    spec.load.kind = load_kind_from_string(*text);
-  }
-  get(fields, "load.level_a", spec.load.level_a);
-  get(fields, "load.level2_a", spec.load.level2_a);
-  get(fields, "load.from_period", spec.load.from_period);
-  get(fields, "load.until_period", spec.load.until_period);
-  get(fields, "load.p_burst", spec.load.p_burst);
-  get(fields, "load.p_idle", spec.load.p_idle);
-  std::size_t dvfs_count = 0;
-  get(fields, "dvfs.count", dvfs_count);
-  for (std::size_t i = 0; i < dvfs_count; ++i) {
-    control::VoltageMode mode;
-    get(fields, indexed("dvfs", i, "at_period"), mode.at_period);
-    get(fields, indexed("dvfs", i, "vref_v"), mode.vref_v);
-    spec.dvfs.push_back(mode);
-  }
-  get(fields, "periods", spec.periods);
-  get(fields, "measure_from", spec.measure_from);
-  get(fields, "tolerance_v", spec.tolerance_v);
-  get(fields, "settle_band_v", spec.settle_band_v);
-  get(fields, "expect_lock", spec.expect_lock);
-  get(fields, "allow_limit_cycling", spec.allow_limit_cycling);
-  get(fields, "limit_cycle_stddev_v", spec.limit_cycle_stddev_v);
-  get(fields, "supervision.enabled", spec.supervision.enabled);
-  if (spec.supervision.enabled) {
-    core::SupervisorConfig& config = spec.supervision.config;
-    get(fields, "supervision.tap_drift_window", config.tap_drift_window);
-    get(fields, "supervision.margin_floor_ps", config.margin_floor_ps);
-    get(fields, "supervision.margin_periods", config.margin_periods);
-    get(fields, "supervision.watchdog_error_code", config.watchdog_error_code);
-    get(fields, "supervision.watchdog_periods", config.watchdog_periods);
-    get(fields, "supervision.max_relock_attempts", config.max_relock_attempts);
-    get(fields, "supervision.relock_backoff_periods",
-        config.relock_backoff_periods);
-    get(fields, "supervision.relock_stability_periods",
-        config.relock_stability_periods);
-    get(fields, "supervision.coarse_resolution_loss_bits",
-        config.coarse_resolution_loss_bits);
-    get(fields, "supervision.counter_fallback", config.counter_fallback);
-  }
-  get(fields, "expect_min_lock_losses", spec.expect_min_lock_losses);
-  get(fields, "expect_relock", spec.expect_relock);
-  get(fields, "max_relock_latency_periods", spec.max_relock_latency_periods);
-  get(fields, "expect_min_degradation", spec.expect_min_degradation);
-  get(fields, "mc_dies", spec.mc_dies);
-  get(fields, "mc_inl_limit_lsb", spec.mc_inl_limit_lsb);
-  get(fields, "mc_min_yield", spec.mc_min_yield);
-  get(fields, "mc_force_scalar", spec.mc_force_scalar);
-  std::size_t fault_count = 0;
-  get(fields, "faults.count", fault_count);
-  for (std::size_t i = 0; i < fault_count; ++i) {
-    FaultSpec fault;
-    if (const std::string* text =
-            find_field(fields, indexed("faults", i, "kind"))) {
-      fault.kind = fault_kind_from_string(*text);
-    }
-    get(fields, indexed("faults", i, "victim_cell"), fault.victim_cell);
-    get(fields, indexed("faults", i, "severity"), fault.severity);
-    get(fields, indexed("faults", i, "at_period"), fault.at_period);
-    get(fields, indexed("faults", i, "clear_period"), fault.clear_period);
-    spec.faults.push_back(fault);
-  }
-  get(fields, "debug_hang_ms", spec.debug_hang_ms);
-  get(fields, "debug_hang_attempts", spec.debug_hang_attempts);
-  get(fields, "debug_throw", spec.debug_throw);
-  get(fields, "debug_crash", spec.debug_crash);
-  return spec;
 }
 
 SpecParse spec_from_json_checked(

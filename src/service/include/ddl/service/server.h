@@ -3,11 +3,14 @@
 // framed protocol (protocol.h), schedules them onto a sandboxed worker
 // pool, and streams result / health / progress frames back.
 //
-// Durability is the PR-5 write-ahead journal, per job: every accepted job
-// gets `state_dir/jobs/<job_id>/` holding its spec list, journal and
-// checkpoint manifest.  A restarted server rescans that tree, resumes
-// incomplete jobs as *orphans* (they keep executing with no client
-// attached), and replays committed rows byte-exactly to a client that
+// Durability is the campaign's journal (scenario/journal.h), per job: every
+// accepted job gets `state_dir/jobs/<job_id>/` holding its spec list, its
+// journal (one commit record per scenario) and a manifest written once.  A
+// restarted server rescans that tree and reloads each job through the
+// same resume_journal() as a campaign `--resume` (a directory it cannot
+// reload, a format-2 journal included, stays on disk untouched).  It
+// resumes incomplete jobs as *orphans* (they keep executing with no client
+// attached) and replays committed rows byte-exactly to a client that
 // resubmits the same job -- job identity is content-addressed
 // (client name + job tag + content fingerprint of every spec field), so
 // resubmission is idempotent and no scenario ever runs twice.
@@ -46,7 +49,7 @@
 // self-pipe.  `request_stop()` is
 // async-signal-safe (atomic store + pipe write), so a SIGTERM handler can
 // trigger the graceful shutdown: stop dispatching, let in-flight
-// scenarios finish and journal, flush checkpoint manifests, close.
+// scenarios finish and journal, close.
 #pragma once
 
 #include <cstdint>
@@ -148,7 +151,7 @@ class ScenarioServer {
   bool start(std::string* error = nullptr);
 
   /// Graceful shutdown: stop dispatching, finish and journal in-flight
-  /// scenarios, flush manifests, close every session, join all threads.
+  /// scenarios, close every session, join all threads.
   /// Idempotent; also run by the destructor.
   void stop();
 

@@ -397,7 +397,7 @@ struct ScenarioServer::Impl {
       analysis::write_file_atomic(dir + "/specs.jsonl", spec_lines);
       analysis::write_file_atomic(dir + "/job.json", meta.to_json_line() + "\n");
       job.journal = std::make_unique<scenario::JournalWriter>(
-          dir, job.name_fingerprint, job.specs.size(), 0, /*append=*/false);
+          dir, job.name_fingerprint, job.specs.size(), /*append=*/false);
     }
 
     const std::string id = job.id;
@@ -1324,7 +1324,8 @@ struct ScenarioServer::Impl {
       try {
         recover_one(dir.string());
       } catch (const std::exception&) {
-        // Unreadable / fingerprint-mismatched directory: leave it alone.
+        // Unreadable, fingerprint-mismatched or format-2 directory: leave
+        // it alone.
       }
     }
   }
@@ -1369,7 +1370,11 @@ struct ScenarioServer::Impl {
       if (!fields) {
         throw std::runtime_error("torn specs.jsonl");
       }
-      job.specs.push_back(scenario::spec_from_json(*fields));
+      scenario::SpecParse parsed = scenario::spec_from_json_checked(*fields);
+      if (!parsed.ok()) {
+        throw std::runtime_error("specs.jsonl: " + parsed.errors.front());
+      }
+      job.specs.push_back(std::move(parsed.spec));
     }
     if (job.specs.empty()) {
       throw std::runtime_error("empty spec list");
@@ -1380,10 +1385,8 @@ struct ScenarioServer::Impl {
       throw std::runtime_error("job id does not match its content");
     }
 
-    scenario::check_resumable(dir, job.name_fingerprint, job.specs.size());
-    scenario::drop_torn_tail(scenario::journal_path(dir));
-    scenario::drop_torn_tail(scenario::health_journal_path(dir));
-    const scenario::JournalState journal = scenario::load_journal(dir);
+    const scenario::JournalState journal = scenario::resume_journal(
+        dir, job.name_fingerprint, job.specs.size());
 
     job.state.assign(job.specs.size(), SpecState::kPending);
     job.result_lines.assign(job.specs.size(), std::string());
@@ -1407,8 +1410,7 @@ struct ScenarioServer::Impl {
       (passed ? job.passed : job.failed)++;
     }
     job.journal = std::make_unique<scenario::JournalWriter>(
-        dir, job.name_fingerprint, job.specs.size(), job.completed,
-        /*append=*/true);
+        dir, job.name_fingerprint, job.specs.size(), /*append=*/true);
 
     const bool schedulable = !job.done() && !job.cancelled;
     const std::string id = job.id;
@@ -1614,8 +1616,7 @@ struct ScenarioServer::Impl {
   /// Graceful drain: queued-but-unstarted tasks return to pending (they
   /// have no journal entry, so a restart resumes them -- exactly the
   /// campaign engine's stop-flag semantics), in-flight scenarios finish on
-  /// their workers and are journaled, manifests flush via JournalWriter's
-  /// per-record checkpoint, then every session closes.
+  /// their workers and are journaled, then every session closes.
   void shutdown_gracefully() {
     draining = true;
     {

@@ -5,6 +5,7 @@
 // parser / atomic writer they ride on, and the runner's CLI grammar.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <filesystem>
 #include <fstream>
@@ -84,6 +85,42 @@ void spit(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// Byte offsets of a journal's record boundaries: 0, then the end of each
+/// commit record (its result line, the one carrying a verdict).
+std::vector<std::size_t> record_ends(const std::string& journal) {
+  std::vector<std::size_t> ends{0};
+  for (std::size_t start = 0, end = 0;
+       (end = journal.find('\n', start)) != std::string::npos;
+       start = end + 1) {
+    const auto fields = ddl::analysis::parse_flat_json_line(
+        journal.substr(start, end - start));
+    if (fields && fields->count("verdict") != 0) {
+      ends.push_back(end + 1);
+    }
+  }
+  return ends;
+}
+
+/// Crash points of a journal: every record boundary and, inside each
+/// record, its result line torn half way or -- when the record has health
+/// lines -- one complete health line without its commit (the orphan
+/// case), and the same with the next line torn half way.
+std::vector<std::size_t> crash_cuts(const std::string& journal) {
+  const std::vector<std::size_t> ends = record_ends(journal);
+  std::vector<std::size_t> cuts = ends;
+  for (std::size_t r = 0; r + 1 < ends.size(); ++r) {
+    const std::size_t first_end = journal.find('\n', ends[r]) + 1;
+    if (first_end == ends[r + 1]) {
+      cuts.push_back(ends[r] + (ends[r + 1] - ends[r]) / 2);
+      continue;
+    }
+    const std::size_t next_end = journal.find('\n', first_end) + 1;
+    cuts.push_back(first_end);
+    cuts.push_back(first_end + (next_end - first_end) / 2);
+  }
+  return cuts;
+}
+
 // ---- Durability -----------------------------------------------------------
 
 TEST(CampaignTest, MatchesThePlainRunnerStreamByteForByte) {
@@ -150,14 +187,9 @@ TEST(CampaignTest, ResumeAfterTornJournalIsByteIdentical) {
   // append (no trailing newline) the crash left behind.
   const std::string crash_dir = fresh_dir("crashed");
   const std::string journal = slurp(full_dir + "/journal.jsonl");
-  std::size_t end = 0;
-  for (int lines = 0; lines < 2; ++lines) {
-    end = journal.find('\n', end) + 1;
-  }
+  const std::size_t end = record_ends(journal).at(2);
   spit(crash_dir + "/journal.jsonl",
        journal.substr(0, end) + R"({"schema_version": 2, "name": "test/pro)");
-  spit(crash_dir + "/health_journal.jsonl",
-       slurp(full_dir + "/health_journal.jsonl"));
   spit(crash_dir + "/manifest.json", slurp(full_dir + "/manifest.json"));
 
   CampaignConfig resume = config;
@@ -202,6 +234,64 @@ TEST(CampaignTest, ResumeWithoutAManifestThrows) {
   config.journal_dir = fresh_dir("empty");
   config.resume = true;
   EXPECT_THROW(Campaign(config).run(quick_batch()), std::runtime_error);
+}
+
+/// The lines of a JSONL document, sorted: a completion-ordered journal
+/// compared as the multiset of its records.
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(CampaignCrashPointTest, EveryCutResumesToTheUninterruptedStreams) {
+  // Property: a kill at any point of the journal -- on a record boundary,
+  // after some of a record's health lines, or torn mid-line -- is followed
+  // by resumes (1, 2 and 3 of them, at 1 and 3 jobs) that each reproduce
+  // the uninterrupted streams and leave one commit record per scenario.
+  // The two quick specs share one closed-loop lane unit, which journals
+  // its members one record at a time.
+  auto specs = ScenarioRegistry::builtin().expand("recovery");
+  specs.push_back(quick_spec("lane-a", 41));
+  specs.push_back(quick_spec("lane-b", 42));
+  CampaignConfig config;
+  config.journal_dir = fresh_dir("cut_full");
+  config.jobs = 3;
+  const auto full = Campaign(config).run(specs);
+  const std::string journal = slurp(config.journal_dir + "/journal.jsonl");
+  const std::string manifest = slurp(config.journal_dir + "/manifest.json");
+  ASSERT_EQ(record_ends(journal).size(), specs.size() + 1);
+  const std::vector<std::size_t> cuts = crash_cuts(journal);
+  // Boundaries and one torn offset per record, plus one more cut for each
+  // record with health lines: at least three of those.
+  ASSERT_GE(cuts.size(), 2 * specs.size() + 1 + 3);
+
+  for (const std::size_t cut : cuts) {
+    for (const std::size_t jobs : {1u, 3u}) {
+      CampaignConfig resume;
+      resume.journal_dir = fresh_dir("cut");
+      resume.resume = true;
+      resume.jobs = jobs;
+      spit(resume.journal_dir + "/journal.jsonl", journal.substr(0, cut));
+      spit(resume.journal_dir + "/manifest.json", manifest);
+      for (int round = 1; round <= 3; ++round) {
+        const std::string where = "cut at byte " + std::to_string(cut) +
+                                  ", jobs " + std::to_string(jobs) +
+                                  ", resume " + std::to_string(round);
+        const auto resumed = Campaign(resume).run(specs);
+        EXPECT_EQ(resumed.jsonl(), full.jsonl()) << where;
+        EXPECT_EQ(resumed.health_jsonl, full.health_jsonl) << where;
+        EXPECT_EQ(resumed.executed + resumed.resumed, specs.size()) << where;
+        EXPECT_EQ(sorted_lines(slurp(resume.journal_dir + "/journal.jsonl")),
+                  sorted_lines(journal))
+            << where;
+      }
+    }
+  }
 }
 
 TEST(CampaignTest, DuplicateScenarioNamesAreRejected) {
@@ -373,7 +463,9 @@ TEST(ChaosTest, SpecJsonRoundTripPreservesTheScenario) {
   const std::string line = ddl::scenario::spec_to_json(spec).to_json_line();
   const auto fields = ddl::analysis::parse_flat_json_line(line);
   ASSERT_TRUE(fields.has_value());
-  const ScenarioSpec back = ddl::scenario::spec_from_json(*fields);
+  const auto parse = ddl::scenario::spec_from_json_checked(*fields);
+  ASSERT_TRUE(parse.ok()) << parse.errors.front();
+  const ScenarioSpec& back = parse.spec;
 
   EXPECT_EQ(back.name, spec.name);
   EXPECT_EQ(back.family, spec.family);
@@ -410,12 +502,19 @@ TEST(ChaosTest, SpecJsonRoundTripPreservesTheScenario) {
 }
 
 TEST(ChaosTest, SpecFromJsonRejectsUnknownEnumValues) {
-  std::map<std::string, std::string> fields{{"architecture", "analog"}};
-  EXPECT_THROW(ddl::scenario::spec_from_json(fields), std::invalid_argument);
-  fields = {{"corner.process", "cryogenic"}};
-  EXPECT_THROW(ddl::scenario::spec_from_json(fields), std::invalid_argument);
-  fields = {{"faults.count", "1"}, {"faults.0.kind", "gremlin"}};
-  EXPECT_THROW(ddl::scenario::spec_from_json(fields), std::invalid_argument);
+  // Rejected with or without allow_unknown: an unknown enum value is a
+  // wrong value, not an unknown key.
+  for (const bool allow_unknown : {false, true}) {
+    std::map<std::string, std::string> fields{{"architecture", "analog"}};
+    EXPECT_FALSE(
+        ddl::scenario::spec_from_json_checked(fields, allow_unknown).ok());
+    fields = {{"corner.process", "cryogenic"}};
+    EXPECT_FALSE(
+        ddl::scenario::spec_from_json_checked(fields, allow_unknown).ok());
+    fields = {{"faults.count", "1"}, {"faults.0.kind", "gremlin"}};
+    EXPECT_FALSE(
+        ddl::scenario::spec_from_json_checked(fields, allow_unknown).ok());
+  }
 }
 
 /// The shrinker's fixture: one genuinely harmful fault (a stuck tap inside
@@ -621,7 +720,7 @@ TEST(CliTest, StrictNumericHelpers) {
   EXPECT_FALSE(ddl::scenario::parse_count("2147483648", n));
 }
 
-// ---- spec_from_json error paths (untrusted input must never abort) --------
+// ---- spec_from_json_checked error paths (untrusted input never aborts) ---
 
 TEST(SpecCheckedParseTest, CleanDocumentRoundTripsWithNoErrors) {
   ddl::scenario::ScenarioSpec spec;
@@ -665,11 +764,11 @@ TEST(SpecCheckedParseTest, UnknownKeysAreStructuredErrors) {
   ASSERT_EQ(parse.errors.size(), 1u);
   EXPECT_NE(parse.errors[0].find("periosd"), std::string::npos);
   EXPECT_NE(parse.errors[0].find("unknown key"), std::string::npos);
-  // The lenient parser (replay bundles, forward compatibility) still
-  // ignores it, and allow_unknown opts the checked parser into that.
-  EXPECT_EQ(ddl::scenario::spec_from_json(fields).periods, 2500u);
-  EXPECT_TRUE(
-      ddl::scenario::spec_from_json_checked(fields, true).ok());
+  // allow_unknown (sandbox worker frames carry their own frame keys)
+  // ignores it and still decodes every spec key.
+  const auto lenient = ddl::scenario::spec_from_json_checked(fields, true);
+  EXPECT_TRUE(lenient.ok());
+  EXPECT_EQ(lenient.spec.periods, 2500u);
 }
 
 TEST(SpecCheckedParseTest, WrongTypedFieldsCollectPerKeyErrors) {

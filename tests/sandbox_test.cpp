@@ -295,38 +295,39 @@ TEST(SandboxTest, InterruptRacingTheWorkerSpawnStillWithdrawsTheUnit) {
 // ---- Journal disk faults --------------------------------------------------
 
 TEST(SandboxTest, JournalWriterSurfacesDiskFaultsAsStructuredErrors) {
-  const std::string dir = fresh_dir("disk_fault");
   // /dev/full accepts opens and fails every write with ENOSPC -- the
-  // classic full-disk stand-in.
-  std::error_code ec;
-  fs::create_symlink("/dev/full", ddl::scenario::journal_path(dir), ec);
-  ASSERT_FALSE(ec) << ec.message();
+  // classic full-disk stand-in.  A bare result line and a record with
+  // health lines fail the same way: the record is one append.
+  const std::vector<std::vector<std::string>> healths = {
+      {}, {"{\"event\": \"y\"}", "{\"event\": \"z\"}"}};
+  for (std::size_t i = 0; i < healths.size(); ++i) {
+    const std::string dir = fresh_dir("disk_fault" + std::to_string(i));
+    std::error_code ec;
+    fs::create_symlink("/dev/full", ddl::scenario::journal_path(dir), ec);
+    ASSERT_FALSE(ec) << ec.message();
 
-  JournalWriter writer(dir, "fingerprint", 1, 0, /*append=*/false);
-  try {
-    writer.record("{\"name\": \"x\"}", {});
-    FAIL() << "record() on a full disk must throw JournalIoError";
-  } catch (const JournalIoError& e) {
-    EXPECT_EQ(e.error_number(), ENOSPC);
-    EXPECT_NE(std::string(e.what()).find("journal write failed"),
-              std::string::npos)
-        << e.what();
+    {
+      JournalWriter writer(dir, "fingerprint", 1, /*append=*/false);
+      try {
+        writer.record("{\"name\": \"x\", \"verdict\": \"pass\"}",
+                      healths[i]);
+        FAIL() << "record() on a full disk must throw JournalIoError";
+      } catch (const JournalIoError& e) {
+        EXPECT_EQ(e.error_number(), ENOSPC);
+        EXPECT_NE(std::string(e.what()).find("journal write failed"),
+                  std::string::npos)
+            << e.what();
+      }
+      // Fail-closed: every later record throws too.
+      EXPECT_THROW(writer.record("{\"name\": \"w\"}", {}), JournalIoError);
+    }
+
+    // Space freed (the device kept no byte): a resume sees no commit.
+    fs::remove(ddl::scenario::journal_path(dir));
+    const auto state = ddl::scenario::resume_journal(dir, "fingerprint", 1);
+    EXPECT_TRUE(state.lines.empty());
+    EXPECT_TRUE(state.health.empty());
   }
-}
-
-TEST(SandboxTest, HealthJournalFaultsFailBeforeTheCommitRecord) {
-  const std::string dir = fresh_dir("disk_fault_health");
-  std::error_code ec;
-  fs::create_symlink("/dev/full", ddl::scenario::health_journal_path(dir), ec);
-  ASSERT_FALSE(ec) << ec.message();
-
-  JournalWriter writer(dir, "fingerprint", 1, 0, /*append=*/false);
-  EXPECT_THROW(writer.record("{\"name\": \"x\"}", {"{\"event\": \"y\"}"}),
-               JournalIoError);
-  // Fail-closed WAL ordering: the health append failed, so the commit
-  // record must not exist -- no torn half-scenario on a later resume.
-  EXPECT_TRUE(
-      ddl::scenario::read_file(ddl::scenario::journal_path(dir)).empty());
 }
 
 }  // namespace

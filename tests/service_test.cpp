@@ -21,13 +21,19 @@
 #include <chrono>
 #include <functional>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ddl/analysis/bench_json.h"
+#include "ddl/scenario/campaign.h"
 #include "ddl/scenario/chaos.h"
+#include "ddl/scenario/journal.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/spec.h"
@@ -87,6 +93,57 @@ std::string fresh_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
+}
+
+void spit(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+}
+
+/// Byte offsets of a journal's record boundaries: 0, then the end of each
+/// commit record (its result line, the one carrying a verdict).
+std::vector<std::size_t> record_ends(const std::string& journal) {
+  std::vector<std::size_t> ends{0};
+  for (std::size_t start = 0, end = 0;
+       (end = journal.find('\n', start)) != std::string::npos;
+       start = end + 1) {
+    const auto fields = ddl::analysis::parse_flat_json_line(
+        journal.substr(start, end - start));
+    if (fields && fields->count("verdict") != 0) {
+      ends.push_back(end + 1);
+    }
+  }
+  return ends;
+}
+
+/// Crash points of a journal: every record boundary and, inside each
+/// record, its result line torn half way or -- when the record has health
+/// lines -- one complete health line without its commit (the orphan
+/// case), and the same with the next line torn half way.
+std::vector<std::size_t> crash_cuts(const std::string& journal) {
+  const std::vector<std::size_t> ends = record_ends(journal);
+  std::vector<std::size_t> cuts = ends;
+  for (std::size_t r = 0; r + 1 < ends.size(); ++r) {
+    const std::size_t first_end = journal.find('\n', ends[r]) + 1;
+    if (first_end == ends[r + 1]) {
+      cuts.push_back(ends[r] + (ends[r + 1] - ends[r]) / 2);
+      continue;
+    }
+    const std::size_t next_end = journal.find('\n', first_end) + 1;
+    cuts.push_back(first_end);
+    cuts.push_back(first_end + (next_end - first_end) / 2);
+  }
+  return cuts;
+}
+
+/// Every file of a directory, name -> bytes.
+std::map<std::string, std::string> snapshot(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] =
+        ddl::scenario::read_file(entry.path().string());
+  }
+  return files;
 }
 
 ServiceConfig base_config() {
@@ -609,6 +666,124 @@ TEST(ServiceTest, RestartResumesTheJournalWithoutRerunningAnything) {
   EXPECT_EQ(outcome.jsonl(),
             ScenarioRunner::jsonl(ScenarioRunner(1).run(specs)));
   server.stop();
+}
+
+/// Runs `specs` as one job of a fresh server on `state_dir` to completion
+/// and returns the job id (its directory is `state_dir/jobs/<id>`).
+std::string run_job_to_completion(const std::string& state_dir,
+                                  const std::vector<ScenarioSpec>& specs) {
+  ServiceConfig config = base_config();
+  config.state_dir = state_dir;
+  ScenarioServer server(config);
+  EXPECT_TRUE(server.start());
+  ScenarioClient client(client_for(server, "cutter"));
+  EXPECT_TRUE(client.connect());
+  const auto submission = client.submit_specs("cuts", specs);
+  EXPECT_TRUE(submission.accepted) << submission.error_detail;
+  EXPECT_TRUE(client.wait(submission.job_id).done);
+  server.stop();
+  return submission.job_id;
+}
+
+TEST(ServiceTest, EveryJournalCutRestartsToTheRunnerStreams) {
+  // The campaign crash-point property, for the daemon: a job directory
+  // whose journal was cut at a record boundary, after some of a record's
+  // health lines, or torn mid-line recovers through two restarts, and
+  // each resubmission streams what ScenarioRunner(1) emits.
+  auto specs = ddl::scenario::ScenarioRegistry::builtin().expand("recovery");
+  specs.push_back(quick_spec("lane-a", 41));
+  specs.push_back(quick_spec("lane-b", 42));
+  const auto reference = ScenarioRunner(1).run(specs);
+  const std::string golden = ScenarioRunner::jsonl(reference);
+  const std::string golden_health = ScenarioRunner::health_jsonl(reference);
+
+  const std::string full_state = fresh_dir("cut_full");
+  const std::string job_id = run_job_to_completion(full_state, specs);
+  const fs::path full_dir = fs::path(full_state) / "jobs" / job_id;
+  const std::string journal =
+      ddl::scenario::read_file((full_dir / "journal.jsonl").string());
+
+  const std::vector<std::size_t> cuts = crash_cuts(journal);
+  for (const std::size_t cut : cuts) {
+    const std::string state = fresh_dir("cut");
+    const fs::path dir = fs::path(state) / "jobs" / job_id;
+    fs::create_directories(dir);
+    for (const auto& entry : fs::directory_iterator(full_dir)) {
+      fs::copy_file(entry.path(), dir / entry.path().filename());
+    }
+    spit((dir / "journal.jsonl").string(), journal.substr(0, cut));
+    for (int restart = 1; restart <= 2; ++restart) {
+      const std::string where = "cut at byte " + std::to_string(cut) +
+                                ", restart " + std::to_string(restart);
+      ServiceConfig config = base_config();
+      config.state_dir = state;
+      ScenarioServer server(config);
+      ASSERT_TRUE(server.start()) << where;
+      EXPECT_EQ(server.stats().jobs_recovered, 1u) << where;
+      ASSERT_TRUE(server.wait_all_jobs_done(60'000)) << where;
+      ScenarioClient client(client_for(server, "cutter"));
+      ASSERT_TRUE(client.connect()) << where;
+      const auto submission = client.submit_specs("cuts", specs);
+      ASSERT_TRUE(submission.accepted) << where;
+      EXPECT_TRUE(submission.resumed) << where;
+      const auto outcome = client.wait(submission.job_id);
+      ASSERT_TRUE(outcome.done) << where;
+      EXPECT_EQ(outcome.jsonl(), golden) << where;
+      EXPECT_EQ(outcome.health_jsonl(), golden_health) << where;
+      server.stop();
+    }
+  }
+}
+
+TEST(ServiceTest, FormatTwoJournalsAreRefusedAndLeftOnDisk) {
+  // A format-2 job directory: result lines in journal.jsonl, health lines
+  // in health_journal.jsonl, a manifest without a journal format.
+  const std::vector<ScenarioSpec> specs = {quick_spec("v2-a", 11),
+                                           supervised_spec()};
+  const std::string state = fresh_dir("format2");
+  const fs::path dir =
+      fs::path(state) / "jobs" / run_job_to_completion(state, specs);
+  std::string results;
+  std::string health;
+  {
+    std::istringstream in(
+        ddl::scenario::read_file((dir / "journal.jsonl").string()));
+    for (std::string line; std::getline(in, line);) {
+      (line.find("\"verdict\"") != std::string::npos ? results : health) +=
+          line + "\n";
+    }
+  }
+  ASSERT_FALSE(health.empty());
+  spit((dir / "journal.jsonl").string(), results);
+  spit((dir / "health_journal.jsonl").string(), health);
+  spit((dir / "manifest.json").string(),
+       "{\n  \"schema_version\": 2,\n  \"campaign\": "
+       "\"scenario_campaign\",\n  \"scenarios\": 2,\n  \"spec_hash\": \"" +
+           ddl::scenario::fingerprint_of(specs) +
+           "\",\n  \"completed\": 2\n}\n");
+  const auto before = snapshot(dir);
+
+  // A campaign resume refuses it and names the format.
+  ddl::scenario::CampaignConfig campaign;
+  campaign.journal_dir = dir.string();
+  campaign.resume = true;
+  try {
+    ddl::scenario::Campaign(campaign).run(specs);
+    ADD_FAILURE() << "a format-2 journal must not resume";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("format-2"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(snapshot(dir), before);
+
+  // Daemon recovery skips the directory and leaves it as it was.
+  ServiceConfig config = base_config();
+  config.state_dir = state;
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  EXPECT_EQ(server.stats().jobs_recovered, 0u);
+  server.stop();
+  EXPECT_EQ(snapshot(dir), before);
 }
 
 // ---- Error paths ----------------------------------------------------------

@@ -10,8 +10,8 @@
 //
 // Prints one `listening ...` line to stdout once ready (scripts parse the
 // ephemeral port from it).  SIGTERM / SIGINT trigger the graceful
-// shutdown: in-flight scenarios finish and journal, checkpoint manifests
-// flush, sessions close; queued work stays pending for the next start.
+// shutdown: in-flight scenarios finish and journal, sessions close; queued
+// work stays pending for the next start.
 // Exit status: 0 on clean shutdown, 64 usage error, 71 startup failure.
 #include <csignal>
 #include <iostream>
