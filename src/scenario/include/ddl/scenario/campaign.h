@@ -24,7 +24,9 @@
 //               (deterministic).
 //               The pending specs are planned first (batch_plan.h): each
 //               MC-yield group or closed-loop lane stream is one dispatch
-//               unit, journaled member by member when it completes.
+//               unit.  Units run on the unit engine the daemon also uses
+//               (engine.h), claimed FIFO by `jobs` workers, and are
+//               journaled member by member when they complete.
 //
 //   determinism the journal is completion-ordered (a durability log, not
 //               the artifact); the final result and health streams are
@@ -61,9 +63,10 @@ struct CampaignConfig {
   /// First retry backoff; doubles on every further retry.
   std::uint64_t backoff_base_ms = 50;
   /// Optional graceful-stop flag (SIGTERM/SIGINT): when it reads true, the
-  /// campaign stops *starting* scenarios.  In-flight scenarios finish and
-  /// are journaled normally, so the journal stays resumable and non-torn;
-  /// unstarted scenarios are counted in CampaignOutcome::skipped.
+  /// campaign stops *starting* dispatch units (the unit engine's stop
+  /// rule).  In-flight units finish and are journaled normally, so the
+  /// journal stays resumable and non-torn; the scenarios of unstarted
+  /// units are counted in CampaignOutcome::skipped.
   const std::atomic<bool>* stop = nullptr;
   /// RLIMIT_AS / RLIMIT_CPU caps applied inside sandbox workers.
   SandboxLimits limits;

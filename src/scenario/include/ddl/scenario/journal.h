@@ -82,6 +82,19 @@ JournalState resume_journal(const std::string& dir,
                             const std::string& fingerprint,
                             std::size_t scenarios);
 
+/// A JournalState laid out by spec index: the one place the campaign and
+/// the daemon turn committed records into rows.
+struct RestoredRows {
+  std::vector<std::string> lines;  ///< Result line by index; "" = pending.
+  std::vector<std::vector<std::string>> health;  ///< Health lines by index.
+  std::vector<ScenarioResult> results;  ///< reconstruct_result of each line.
+  std::size_t restored = 0;  ///< Indices with a committed record.
+  std::size_t passed = 0;    ///< Restored rows whose verdict is "pass".
+};
+
+RestoredRows restore_rows(const JournalState& state,
+                          const std::vector<ScenarioSpec>& specs);
+
 /// Rebuilds the verdict-bearing slice of a ScenarioResult from a journaled
 /// line's parsed fields, enough for summarize() and exit-code accounting;
 /// metrics and the typed architecture/corner stay default (the line itself

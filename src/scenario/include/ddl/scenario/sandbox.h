@@ -1,8 +1,8 @@
 // Process-level scenario sandbox: crash containment for campaign workers.
 //
-// A ScenarioExecutor is the one dispatch-unit execution engine shared by
-// the Campaign engine and the campaign service daemon.  It supervises a
-// fork()ed *worker process*:
+// A ScenarioExecutor runs dispatch units for one worker thread of the unit
+// engine (engine.h) that the Campaign and the campaign service daemon
+// share.  It supervises a fork()ed *worker process*:
 //
 //   supervisor (this process)              worker (forked child)
 //   ----------------------------          ---------------------------
@@ -98,9 +98,9 @@ struct ExecutedScenario {
 };
 
 /// Executes dispatch units (one spec, or one batch-coalesced group) in a
-/// sandbox worker process.  One executor per campaign/server worker
-/// thread; not itself thread-safe except interrupt(), which any thread may
-/// call to kill the in-flight unit's worker process.
+/// sandbox worker process.  One executor per unit-engine worker thread
+/// (engine.h); not itself thread-safe except interrupt(), which any thread
+/// may call to kill the in-flight unit's worker process.
 class ScenarioExecutor {
  public:
   /// `counters`, when given, must outlive the executor.
@@ -127,8 +127,8 @@ class ScenarioExecutor {
 
   bool interrupted() const noexcept;
 
-  /// Re-arms the executor after a withdrawn unit (the server reuses its
-  /// per-worker executor across jobs).
+  /// Re-arms the executor after a withdrawn unit (the unit engine reuses
+  /// each worker's executor across jobs).
   void clear_interrupt() noexcept;
 
   /// Implementation state (public so the supervisor's file-local helpers

@@ -190,6 +190,30 @@ JournalState resume_journal(const std::string& dir,
   return state;
 }
 
+RestoredRows restore_rows(const JournalState& state,
+                          const std::vector<ScenarioSpec>& specs) {
+  RestoredRows rows;
+  rows.lines.resize(specs.size());
+  rows.health.resize(specs.size());
+  rows.results.resize(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto line_it = state.lines.find(specs[i].name);
+    if (line_it == state.lines.end()) {
+      continue;
+    }
+    rows.lines[i] = line_it->second;
+    const auto health_it = state.health.find(specs[i].name);
+    if (health_it != state.health.end()) {
+      rows.health[i] = health_it->second;
+    }
+    const auto fields = analysis::parse_flat_json_line(line_it->second);
+    rows.results[i] = fields ? reconstruct_result(*fields) : ScenarioResult{};
+    ++rows.restored;
+    rows.passed += rows.results[i].verdict() == "pass" ? 1 : 0;
+  }
+  return rows;
+}
+
 JournalWriter::JournalWriter(const std::string& dir,
                              const std::string& fingerprint,
                              std::size_t scenarios, bool append) {

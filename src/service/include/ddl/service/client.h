@@ -87,8 +87,8 @@ class ScenarioClient {
 
   /// Requests cooperative teardown of a job by tag.  The terminal
   /// `cancelled` frame surfaces through wait() (JobOutcome::cancelled)
-  /// once every in-flight scenario has finished and journaled.  False on
-  /// transport failure.
+  /// once nothing of the job is queued or running.  False on transport
+  /// failure.
   bool cancel(const std::string& job_tag);
 
   /// Submits a raw pre-built frame (the error-path tests craft malformed

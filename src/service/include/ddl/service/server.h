@@ -8,11 +8,12 @@
 // journal (one commit record per scenario) and a manifest written once.  A
 // restarted server rescans that tree and reloads each job through the
 // same resume_journal() as a campaign `--resume` (a directory it cannot
-// reload, a format-2 journal included, stays on disk untouched).  It
-// resumes incomplete jobs as *orphans* (they keep executing with no client
+// reload, a format-2 journal included, stays on disk untouched, and a
+// resubmit of its job gets a final `job_unrecoverable` error).  It resumes
+// incomplete jobs as *orphans* (they keep executing with no client
 // attached) and replays committed rows byte-exactly to a client that
-// resubmits the same job -- job identity is content-addressed
-// (client name + job tag + content fingerprint of every spec field), so
+// resubmits the same job -- job identity is content-addressed (client
+// name + job tag + content fingerprint of every spec field), so
 // resubmission is idempotent and no scenario ever runs twice.
 //
 // Scheduling is fair round-robin across clients at dispatch-unit
@@ -20,17 +21,17 @@
 // `max_inflight_per_client` dispatched scenarios at once, at most
 // `max_pending_jobs_per_client` incomplete jobs -- a submit beyond that
 // quota is answered with an explicit `backpressure` frame (retryable),
-// never a disconnect.  A unit is usually one scenario; batch-eligible
-// MC-yield scenarios of the same job coalesce into one multi-scenario
-// unit (each still spending inflight quota) that the worker runs through
-// the batch planner as packed SoA kernel lanes -- byte-identical rows,
-// several-fold throughput.
+// never a disconnect.  Consecutive pending scenarios of a job that are
+// batch-eligible (MC yield) or lane-eligible (closed loop) coalesce into
+// one multi-scenario unit (each still spending inflight quota) that the
+// worker runs as packed SoA kernel lanes or a plant-lane stream --
+// byte-identical rows, several-fold throughput.
 //
-// A `cancel` frame tears a job down cooperatively: pending scenarios are
-// never dispatched, queued ones are withdrawn, in-flight ones finish and
-// journal (the journal stays consistent), and a persistent `cancelled`
-// marker in the job directory makes the decision durable -- a restarted
-// server reschedules nothing cancelled.  `submit_replay` runs a chaos
+// A `cancel` frame tears a job down: pending scenarios are never
+// dispatched, queued units are withdrawn, running units lose their sandbox
+// worker and leave no row (the journal stays consistent), and a persistent
+// `cancelled` marker in the job directory makes the decision durable -- a
+// restarted server reschedules nothing cancelled.  `submit_replay` runs a chaos
 // replay bundle (PR-5 shrinker output) as a one-scenario job whose
 // `job_done` reports whether the expected failure reproduced.
 //
@@ -42,14 +43,15 @@
 // (ServiceStats), never a crash and never an unbounded buffer.
 //
 // Threading: one event-loop thread owns every session, job and journal
-// writer (poll over the listeners, client sockets and a self-pipe);
-// `workers` pool threads each own a scenario::ScenarioExecutor -- a
-// fork()ed sandbox worker whose crash or resource-limit death becomes a structured error row (and whose process
-// group a cancel kills) -- and hand completions back through the
-// self-pipe.  `request_stop()` is
-// async-signal-safe (atomic store + pipe write), so a SIGTERM handler can
-// trigger the graceful shutdown: stop dispatching, let in-flight
-// scenarios finish and journal, close.
+// writer (poll over the listeners, client sockets and a self-pipe).  Units
+// run on the same scenario::UnitEngine as a Campaign (scenario/engine.h):
+// `workers` threads, each owning a fork()ed sandbox worker whose crash or
+// resource-limit death becomes a structured error row and whose process
+// group a cancel kills.  Finished units come back through the self-pipe.
+// `request_stop()` is async-signal-safe (atomic store + pipe write), so a
+// SIGTERM handler can trigger the graceful shutdown: the engine's stop --
+// claim nothing more, let in-flight units finish and journal -- then
+// close.
 #pragma once
 
 #include <cstdint>
@@ -124,8 +126,8 @@ struct ServiceStats {
   std::size_t replay_jobs = 0;        ///< Jobs born from `submit_replay`.
   std::size_t sessions_timed_out = 0;  ///< Dead-peer / partial-frame kills.
   std::size_t outbox_overflows = 0;    ///< Sessions over max_outbox_bytes.
-  /// Dispatch units that coalesced >1 batch-eligible MC-yield scenario
-  /// into one worker claim (run as packed kernel lanes).
+  /// Dispatch units that coalesced >1 scenario into one worker claim: MC
+  /// yield run as packed kernel lanes, closed loop as a plant-lane stream.
   std::size_t batched_units = 0;
   /// Sandbox containment (see ddl/scenario/sandbox.h).
   std::size_t sandbox_crashes = 0;    ///< Workers killed by a fatal signal.

@@ -18,7 +18,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -31,6 +30,7 @@
 #include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/chaos.h"
 #include "ddl/scenario/cli.h"
+#include "ddl/scenario/engine.h"
 #include "ddl/scenario/journal.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
@@ -87,36 +87,12 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// One result / health row pair as the worker hands it back: rendered to
-/// its final JSONL text on the worker thread (the expensive part), so the
-/// event loop only journals and frames bytes.
+/// A finished dispatch unit as the engine hands it back, its rows already
+/// rendered to JSONL on the worker thread, so the event loop only journals
+/// and frames bytes.  No rows means a cancel withdrew the unit.
 struct Completion {
-  std::string job_id;
-  std::size_t index = 0;
-  bool pass = false;
-  std::string line;
-  std::vector<std::string> health_lines;
-  /// The unit was killed by a cancel before producing a row (process-mode
-  /// interrupt): the spec returns to pending, nothing journals or frames.
-  bool withdrawn = false;
-};
-
-/// One scenario of a dispatch unit.
-struct TaskEntry {
-  std::size_t index = 0;
-  ScenarioSpec spec;
-};
-
-/// A dispatch unit: one or more scenarios of the same job claimed by one
-/// worker in a single scheduling decision.  Units with several entries are
-/// batch-eligible MC-yield scenarios that the worker runs through the
-/// batch planner (src/scenario/batch_plan.h) as packed kernel lanes; every
-/// entry still counts against the owner's inflight quota and completes
-/// with its own Completion, so quota accounting, cancel withdrawal and
-/// result frames are per-scenario exactly as before.
-struct Task {
-  std::string job_id;
-  std::vector<TaskEntry> entries;
+  scenario::DispatchUnit unit;  ///< `job` is the job id.
+  std::vector<scenario::ExecutedScenario> rows;
 };
 
 enum class SpecState : unsigned char { kPending, kInflight, kDone };
@@ -131,28 +107,20 @@ struct Job {
   std::vector<SpecState> state;
   std::vector<std::string> result_lines;  ///< By index; "" until done.
   std::vector<std::vector<std::string>> health_lines;
-  std::size_t completed = 0;
-  std::size_t executed = 0;  ///< Run by this process (not resumed).
-  std::size_t resumed = 0;   ///< Restored from the journal on recovery.
-  std::size_t passed = 0;
-  std::size_t failed = 0;
+  std::size_t completed = 0;  ///< Resumed, plus run by this process.
+  std::size_t resumed = 0;    ///< Restored from the journal on recovery.
+  std::size_t passed = 0;  ///< Of the completed; the rest failed.
   std::unique_ptr<scenario::JournalWriter> journal;
   int session_fd = -1;  ///< Attached session; -1 = orphan.
   bool cancelled = false;  ///< Cooperative teardown requested (durable).
   bool is_replay = false;  ///< Born from a submit_replay frame.
   std::string expected_failure_reason;  ///< Replay jobs: expected verdict.
 
-  bool done() const noexcept { return completed == specs.size(); }
+  /// Scenarios queued or running on a worker; a cancelled job settles
+  /// once none is left.
+  std::size_t inflight = 0;
 
-  /// Scenarios currently queued or running on a worker.  Cancel waits for
-  /// these to finish and journal before the teardown completes.
-  std::size_t inflight_specs() const noexcept {
-    std::size_t count = 0;
-    for (const SpecState s : state) {
-      count += (s == SpecState::kInflight) ? 1 : 0;
-    }
-    return count;
-  }
+  bool done() const noexcept { return completed == specs.size(); }
 };
 
 /// Per-client-name scheduling state.  Slots persist across sessions (a
@@ -201,32 +169,17 @@ struct ScenarioServer::Impl {
   std::map<std::string, Job> jobs;
   std::vector<ClientSlot> clients;
   std::size_t rr_cursor = 0;
-  bool draining = false;
   /// Event-loop-owned sizing cache backing batch-eligibility checks at
   /// dispatch time (single-threaded owner, like everything above).
   scenario::ScenarioWorkspace plan_workspace;
 
-  // --- Worker pool ------------------------------------------------------
-  std::vector<std::thread> worker_threads;
+  // --- Execution --------------------------------------------------------
   std::thread event_thread;
-  std::mutex task_mutex;
-  std::condition_variable task_cv;
-  std::deque<Task> task_queue;
-  bool workers_quit = false;
   std::mutex completion_mutex;
   std::deque<Completion> completions;
-  scenario::SandboxCounters sandbox_counters;
-
-  /// In-flight dispatch units by worker index, so handle_cancel can kill
-  /// the sandbox worker process of a cancelled job (executor->interrupt()).
-  /// Executors live for the worker thread's whole life; entries are
-  /// registered before run_unit and erased after, all under active_mutex.
-  struct ActiveUnit {
-    std::string job_id;
-    scenario::ScenarioExecutor* executor = nullptr;
-  };
-  std::mutex active_mutex;
-  std::map<std::size_t, ActiveUnit> active_units;
+  /// Runs dispatch units on the sandboxed workers (created in start();
+  /// declared after `completions`, so its workers stop first).
+  std::unique_ptr<scenario::UnitEngine> engine;
 
   // --- Cross-thread status ----------------------------------------------
   std::atomic<bool> stop_requested{false};
@@ -356,8 +309,8 @@ struct ScenarioServer::Impl {
   /// Creates (and, with a state_dir, persists) a fresh job.  Throws
   /// std::runtime_error when the state directory is not writable.
   Job& create_job(const std::string& tag, const std::string& owner,
-                  std::vector<ScenarioSpec> specs, bool is_replay = false,
-                  const std::string& expected_failure_reason = "") {
+                  std::vector<ScenarioSpec> specs, bool is_replay,
+                  const std::string& expected_failure_reason) {
     Job job;
     job.tag = tag;
     job.owner = owner;
@@ -473,8 +426,9 @@ struct ScenarioServer::Impl {
     frame.set("job", job.tag);
     frame.set("scenarios", static_cast<std::uint64_t>(job.specs.size()));
     frame.set("passed", static_cast<std::uint64_t>(job.passed));
-    frame.set("failed", static_cast<std::uint64_t>(job.failed));
-    frame.set("executed", static_cast<std::uint64_t>(job.executed));
+    frame.set("failed", static_cast<std::uint64_t>(job.completed - job.passed));
+    frame.set("executed",
+              static_cast<std::uint64_t>(job.completed - job.resumed));
     frame.set("resumed", static_cast<std::uint64_t>(job.resumed));
     if (job.is_replay) {
       frame.set("replay", true);
@@ -505,7 +459,7 @@ struct ScenarioServer::Impl {
     send_progress(session, job);
     if (job.done()) {
       send_job_done(session, job);
-    } else if (job.cancelled && job.inflight_specs() == 0) {
+    } else if (job.cancelled && job.inflight == 0) {
       // A cancelled job never finishes; the resubmission learns its
       // terminal state immediately instead of waiting forever.
       send_cancelled(session, job);
@@ -528,12 +482,6 @@ struct ScenarioServer::Impl {
         if (job.state[i] != SpecState::kPending) {
           continue;
         }
-        Task task;
-        task.job_id = job.id;
-        job.state[i] = SpecState::kInflight;
-        slot.inflight++;
-        note_dispatch(slot.name);
-        task.entries.push_back(TaskEntry{i, job.specs[i]});
         // Coalesce: when the claimed scenario is batch-eligible (MC
         // yield) or lane-eligible (closed loop), the job's next pending
         // scenarios of the same kind join this dispatch unit (up to the
@@ -550,42 +498,38 @@ struct ScenarioServer::Impl {
         } else if (scenario::lane_eligible(job.specs[i], plan_workspace)) {
           eligible = &scenario::lane_eligible;
         }
-        for (std::size_t j = i + 1;
-             eligible != nullptr && j < job.specs.size() &&
-             slot.inflight < config.max_inflight_per_client;
+        scenario::DispatchUnit unit{job.id, {}, {}};
+        for (std::size_t j = i; j < job.specs.size() &&
+                                slot.inflight < config.max_inflight_per_client;
              ++j) {
           if (job.state[j] != SpecState::kPending) {
             continue;
           }
-          if (!eligible(job.specs[j], plan_workspace)) {
+          if (j > i && (eligible == nullptr ||
+                        !eligible(job.specs[j], plan_workspace))) {
             break;
           }
           job.state[j] = SpecState::kInflight;
+          job.inflight++;
           slot.inflight++;
           note_dispatch(slot.name);
-          task.entries.push_back(TaskEntry{j, job.specs[j]});
+          unit.indices.push_back(j);
+          unit.specs.push_back(job.specs[j]);
         }
-        if (task.entries.size() > 1) {
+        if (unit.specs.size() > 1) {
           bump(&ServiceStats::batched_units);
         }
-        {
-          std::lock_guard<std::mutex> lock(task_mutex);
-          task_queue.push_back(std::move(task));
-        }
-        task_cv.notify_one();
+        engine->submit(std::move(unit));
         return true;
       }
     }
     return false;
   }
 
-  /// Fair round-robin at scenario granularity: one scenario per eligible
+  /// Fair round-robin at dispatch-unit granularity: one unit per eligible
   /// client per rotation, until a full pass dispatches nothing (every
   /// client is at quota or out of work).
   void dispatch() {
-    if (draining || clients.empty()) {
-      return;
-    }
     std::size_t barren = 0;
     while (barren < clients.size()) {
       ClientSlot& slot = clients[rr_cursor % clients.size()];
@@ -598,36 +542,44 @@ struct ScenarioServer::Impl {
     }
   }
 
-  void handle_completion(Completion&& done) {
-    auto it = jobs.find(done.job_id);
-    if (it == jobs.end()) {
-      return;
-    }
-    Job& job = it->second;
-    if (done.withdrawn) {
-      // A cancel killed the unit's sandbox worker before any row existed:
-      // the spec returns to pending (a cancelled job never re-dispatches
-      // it), quota is released, and nothing journals or frames.
-      job.state[done.index] = SpecState::kPending;
-      ClientSlot& slot = slot_of(job.owner);
+  /// Returns a unit's specs to pending and releases their quota (a
+  /// cancelled job never re-dispatches them; a stopped server resumes them
+  /// after a restart).
+  void release(const scenario::DispatchUnit& unit) {
+    Job& job = jobs.at(unit.job);
+    ClientSlot& slot = slot_of(job.owner);
+    for (const std::size_t index : unit.indices) {
+      job.state[index] = SpecState::kPending;
+      job.inflight--;
       if (slot.inflight > 0) {
         slot.inflight--;
       }
-      if (job.cancelled && job.inflight_specs() == 0) {
-        finalize_cancel(job);
-      }
-      return;
     }
-    job.result_lines[done.index] = std::move(done.line);
-    job.health_lines[done.index] = std::move(done.health_lines);
-    job.state[done.index] = SpecState::kDone;
+  }
+
+  void handle_completion(Completion&& done) {
+    Job& job = jobs.at(done.unit.job);
+    // The unit leaves flight: its quota returns, and each spec that came
+    // back with a row is done.  A unit whose sandbox worker a cancel killed
+    // comes back with no rows, so its specs stay pending.
+    release(done.unit);
+    for (std::size_t k = 0; k < done.rows.size(); ++k) {
+      complete_spec(job, done.unit.indices[k], std::move(done.rows[k]));
+    }
+    settle(job);
+  }
+
+  void complete_spec(Job& job, std::size_t index,
+                     scenario::ExecutedScenario&& run) {
+    job.result_lines[index] = std::move(run.line);
+    job.health_lines[index] = std::move(run.health_lines);
+    job.state[index] = SpecState::kDone;
     job.completed++;
-    job.executed++;
-    (done.pass ? job.passed : job.failed)++;
+    job.passed += run.result.pass ? 1 : 0;
     if (job.journal) {
       try {
-        job.journal->record(job.result_lines[done.index],
-                            job.health_lines[done.index]);
+        job.journal->record(job.result_lines[index],
+                            job.health_lines[index]);
       } catch (const scenario::JournalIoError& e) {
         // Disk fault (ENOSPC/EIO): drop the job's durability fail-closed
         // -- no torn-commit ambiguity on a later resume -- and tell the
@@ -640,43 +592,38 @@ struct ScenarioServer::Impl {
         }
       }
     }
-    ClientSlot& slot = slot_of(job.owner);
-    if (slot.inflight > 0) {
-      slot.inflight--;
-    }
     bump(&ServiceStats::scenarios_executed);
 
     auto session_it = sessions.find(job.session_fd);
     if (session_it != sessions.end()) {
-      send_result_frames(session_it->second, job, done.index);
+      send_result_frames(session_it->second, job, index);
       send_progress(session_it->second, job);
-    }
-    if (job.done()) {
-      finish_job(job);
-    } else if (job.cancelled && job.inflight_specs() == 0) {
-      // The last in-flight scenario of a cancelled job has finished and
-      // journaled; the cooperative teardown can now complete.
-      finalize_cancel(job);
     }
   }
 
-  void finish_job(Job& job) {
-    ClientSlot& slot = slot_of(job.owner);
-    for (auto it = slot.jobs.begin(); it != slot.jobs.end(); ++it) {
-      if (*it == job.id) {
-        slot.jobs.erase(it);
-        break;
-      }
+  /// Retires a job from scheduling once it is done, or cancelled with
+  /// nothing of it queued or running: releases the client's job quota and
+  /// sends the terminal frame.  The job stays in `jobs`, so a resubmission
+  /// replays its committed rows (and re-learns `cancelled`).
+  void settle(Job& job) {
+    const bool finished = job.done();
+    if (!finished && !(job.cancelled && job.inflight == 0)) {
+      return;
     }
+    std::erase(slot_of(job.owner).jobs, job.id);
     // Stats before the terminal frame: a client that has seen `job_done`
-    // must never read a stats snapshot that predates it.
-    bump(&ServiceStats::jobs_completed);
+    // or `cancelled` must never read a stats snapshot that predates it.
+    bump(finished ? &ServiceStats::jobs_completed
+                  : &ServiceStats::jobs_cancelled);
     set_active_jobs_delta(-1);
     auto session_it = sessions.find(job.session_fd);
     if (session_it != sessions.end()) {
-      send_job_done(session_it->second, job);
+      if (finished) {
+        send_job_done(session_it->second, job);
+      } else {
+        send_cancelled(session_it->second, job);
+      }
     }
-    // The job itself stays in `jobs` so a later resubmission replays it.
   }
 
   /// Persists the cancel decision the moment it is made (not when the
@@ -698,28 +645,6 @@ struct ScenarioServer::Impl {
       // Best-effort durability: an unwritable marker degrades to the
       // pre-cancel behavior (the job resumes after a restart) instead
       // of failing the teardown.
-    }
-  }
-
-  /// Completes a cooperative cancel once nothing of the job is queued or
-  /// running: releases the client's quota and announces the terminal
-  /// state.  The job stays in `jobs` -- a resubmission replays committed
-  /// rows and re-learns `cancelled`.
-  void finalize_cancel(Job& job) {
-    ClientSlot& slot = slot_of(job.owner);
-    for (auto it = slot.jobs.begin(); it != slot.jobs.end(); ++it) {
-      if (*it == job.id) {
-        slot.jobs.erase(it);
-        break;
-      }
-    }
-    // Stats before the terminal frame (same ordering contract as
-    // finish_job): observing `cancelled` implies the stats reflect it.
-    bump(&ServiceStats::jobs_cancelled);
-    set_active_jobs_delta(-1);
-    auto session_it = sessions.find(job.session_fd);
-    if (session_it != sessions.end()) {
-      send_cancelled(session_it->second, job);
     }
   }
 
@@ -759,49 +684,20 @@ struct ScenarioServer::Impl {
     if (job.cancelled) {
       // Idempotent: a repeated cancel re-announces the terminal state
       // once the teardown finished (otherwise the pending finalize will).
-      if (job.inflight_specs() == 0) {
+      if (job.inflight == 0) {
         send_cancelled(session, job);
       }
       return;
     }
     job.cancelled = true;
     persist_cancel_marker(job);
-    // Withdraw queued-but-unstarted tasks: they have no journal entry and
-    // must never run.  Tasks already claimed by a worker finish and
-    // journal normally (cooperative, journal-consistent teardown).
-    std::vector<Task> kept;
-    {
-      std::lock_guard<std::mutex> lock(task_mutex);
-      ClientSlot& slot = slot_of(job.owner);
-      for (Task& task : task_queue) {
-        if (task.job_id != job.id) {
-          kept.push_back(std::move(task));
-          continue;
-        }
-        for (const TaskEntry& entry : task.entries) {
-          job.state[entry.index] = SpecState::kPending;
-          if (slot.inflight > 0) {
-            slot.inflight--;
-          }
-        }
-      }
-      task_queue.assign(std::make_move_iterator(kept.begin()),
-                        std::make_move_iterator(kept.end()));
+    // Queued units have no journal entry and never run.  Running units
+    // lose their sandbox worker (a whole process group) and come back with
+    // no rows -- no journal entry either, so the journal stays consistent.
+    for (const scenario::DispatchUnit& unit : engine->withdraw(job.id)) {
+      release(unit);
     }
-    // Units already claimed by a worker: the unit's sandbox worker (a
-    // whole process group) is killed and the unit comes back `withdrawn`
-    // -- no row, no journal entry, so the journal stays consistent.
-    {
-      std::lock_guard<std::mutex> lock(active_mutex);
-      for (auto& [worker_index, unit] : active_units) {
-        if (unit.job_id == job.id) {
-          unit.executor->interrupt();
-        }
-      }
-    }
-    if (job.inflight_specs() == 0) {
-      finalize_cancel(job);
-    }
+    settle(job);
     dispatch();  // Withdrawn quota may unblock another client's work.
   }
 
@@ -839,49 +735,16 @@ struct ScenarioServer::Impl {
 
     std::vector<ScenarioSpec> specs;
     specs.push_back(std::move(parsed.spec));
-    const std::string id = job_id_of(
-        session.client_name, tag, scenario::content_fingerprint_of(specs));
-    auto existing = jobs.find(id);
-    if (existing != jobs.end()) {
-      attach_and_replay(session, existing->second);
-      return;
-    }
-    ClientSlot& slot = slot_of(session.client_name);
-    if (slot.jobs.size() >= config.max_pending_jobs_per_client) {
-      analysis::JsonObject frame = make_frame("backpressure");
-      frame.set("job", tag);
-      frame.set("reason", "job_quota");
-      frame.set("active", static_cast<std::uint64_t>(slot.jobs.size()));
-      frame.set("limit", static_cast<std::uint64_t>(
-                             config.max_pending_jobs_per_client));
-      frame.set("retry_ms", std::uint64_t{200});
-      bump(&ServiceStats::backpressure_frames);
-      send_frame(session, frame);
-      return;
-    }
-    try {
-      Job& job = create_job(tag, session.client_name, std::move(specs),
-                            /*is_replay=*/true, expected);
-      job.session_fd = session.fd;
-      send_accepted(session, job, /*resumed=*/false);
-    } catch (const std::exception& e) {
-      send_error(session, "io_error", e.what(), tag);
-      return;
-    }
-    dispatch();
+    admit(session, tag, std::move(specs), /*is_replay=*/true, expected);
   }
 
   void drain_completions() {
-    for (;;) {
-      Completion done;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex);
-        if (completions.empty()) {
-          return;
-        }
-        done = std::move(completions.front());
-        completions.pop_front();
-      }
+    std::deque<Completion> batch;
+    {
+      std::lock_guard<std::mutex> lock(completion_mutex);
+      batch.swap(completions);
+    }
+    for (Completion& done : batch) {
       handle_completion(std::move(done));
     }
   }
@@ -1035,6 +898,14 @@ struct ScenarioServer::Impl {
       specs = std::move(*parsed);
     }
 
+    admit(session, tag, std::move(specs));
+  }
+
+  /// The tail of every submit: attach to the job with this identity, or
+  /// refuse, or answer quota backpressure, or create the job.
+  void admit(Session& session, const std::string& tag,
+             std::vector<ScenarioSpec> specs, bool is_replay = false,
+             const std::string& expected_failure_reason = "") {
     const std::string id = job_id_of(
         session.client_name, tag, scenario::content_fingerprint_of(specs));
     auto existing = jobs.find(id);
@@ -1042,6 +913,18 @@ struct ScenarioServer::Impl {
       // Idempotent resubmission (same client, tag and spec content):
       // attach and replay instead of counting against the job quota.
       attach_and_replay(session, existing->second);
+      return;
+    }
+    std::error_code ec;
+    if (!config.state_dir.empty() && fs::exists(job_dir(id), ec)) {
+      // Recovery skipped this job's directory (a format-2 journal, an
+      // unreadable or mismatched file).  It stays on disk for inspection:
+      // the submit is refused, final, rather than re-created over it.
+      send_error(session, "job_unrecoverable",
+                 "job directory '" + job_dir(id) +
+                     "' exists but could not be recovered; move it away "
+                     "to run this job again",
+                 tag);
       return;
     }
 
@@ -1062,7 +945,8 @@ struct ScenarioServer::Impl {
     }
 
     try {
-      Job& job = create_job(tag, session.client_name, std::move(specs));
+      Job& job = create_job(tag, session.client_name, std::move(specs),
+                            is_replay, expected_failure_reason);
       job.session_fd = session.fd;
       send_accepted(session, job, /*resumed=*/false);
     } catch (const std::exception& e) {
@@ -1288,14 +1172,15 @@ struct ScenarioServer::Impl {
       }());
       // Sandbox containment telemetry rides the heartbeat so a client can
       // watch crash/respawn counts without a dedicated stats request.
-      frame.set("sandbox_crashes", static_cast<std::uint64_t>(
-                                       sandbox_counters.crashes.load()));
-      frame.set("workers_respawned", static_cast<std::uint64_t>(
-                                         sandbox_counters.respawns.load()));
-      frame.set("resource_kills", static_cast<std::uint64_t>(
-                                      sandbox_counters.resource_kills.load()));
-      frame.set("workers_lost", static_cast<std::uint64_t>(
-                                    sandbox_counters.workers_lost.load()));
+      const scenario::SandboxCounters& counters = engine->counters();
+      frame.set("sandbox_crashes",
+                static_cast<std::uint64_t>(counters.crashes.load()));
+      frame.set("workers_respawned",
+                static_cast<std::uint64_t>(counters.respawns.load()));
+      frame.set("resource_kills",
+                static_cast<std::uint64_t>(counters.resource_kills.load()));
+      frame.set("workers_lost",
+                static_cast<std::uint64_t>(counters.workers_lost.load()));
       send_frame(session, frame);
       bump(&ServiceStats::heartbeats);
     }
@@ -1388,27 +1273,17 @@ struct ScenarioServer::Impl {
     const scenario::JournalState journal = scenario::resume_journal(
         dir, job.name_fingerprint, job.specs.size());
 
+    scenario::RestoredRows rows = scenario::restore_rows(journal, job.specs);
+    job.result_lines = std::move(rows.lines);
+    job.health_lines = std::move(rows.health);
     job.state.assign(job.specs.size(), SpecState::kPending);
-    job.result_lines.assign(job.specs.size(), std::string());
-    job.health_lines.assign(job.specs.size(), {});
     for (std::size_t i = 0; i < job.specs.size(); ++i) {
-      const auto line_it = journal.lines.find(job.specs[i].name);
-      if (line_it == journal.lines.end()) {
-        continue;
+      if (!job.result_lines[i].empty()) {
+        job.state[i] = SpecState::kDone;
       }
-      job.state[i] = SpecState::kDone;
-      job.result_lines[i] = line_it->second;
-      const auto health_it = journal.health.find(job.specs[i].name);
-      if (health_it != journal.health.end()) {
-        job.health_lines[i] = health_it->second;
-      }
-      job.completed++;
-      job.resumed++;
-      const auto fields = analysis::parse_flat_json_line(line_it->second);
-      const bool passed = fields && fields->count("verdict") &&
-                          fields->at("verdict") == "pass";
-      (passed ? job.passed : job.failed)++;
     }
+    job.completed = job.resumed = rows.restored;
+    job.passed = rows.passed;
     job.journal = std::make_unique<scenario::JournalWriter>(
         dir, job.name_fingerprint, job.specs.size(), /*append=*/true);
 
@@ -1425,84 +1300,7 @@ struct ScenarioServer::Impl {
     bump(&ServiceStats::scenarios_resumed, resumed);
   }
 
-  // --- Worker / event threads -------------------------------------------
-
-  /// Runs one dispatch unit on the calling worker's executor.  The unit
-  /// ships whole into the worker's sandbox child (one batched kernel
-  /// dispatch for multi-entry units), and rows come back as pre-rendered
-  /// JSONL bytes.  An empty executor return means interrupt() killed the
-  /// unit mid-flight (cancel): each entry completes as `withdrawn`.
-  std::vector<Completion> run_unit(Task& task,
-                                   scenario::ScenarioExecutor& executor) {
-    std::vector<ScenarioSpec> specs;
-    specs.reserve(task.entries.size());
-    for (TaskEntry& entry : task.entries) {
-      specs.push_back(entry.spec);
-    }
-    std::vector<scenario::ExecutedScenario> runs = executor.run_unit(specs);
-    std::vector<Completion> out;
-    out.reserve(task.entries.size());
-    if (runs.size() != task.entries.size()) {
-      for (const TaskEntry& entry : task.entries) {
-        Completion done;
-        done.job_id = task.job_id;
-        done.index = entry.index;
-        done.withdrawn = true;
-        out.push_back(std::move(done));
-      }
-      return out;
-    }
-    for (std::size_t k = 0; k < task.entries.size(); ++k) {
-      Completion done;
-      done.job_id = task.job_id;
-      done.index = task.entries[k].index;
-      done.pass = runs[k].result.pass;
-      done.line = std::move(runs[k].line);
-      done.health_lines = std::move(runs[k].health_lines);
-      out.push_back(std::move(done));
-    }
-    return out;
-  }
-
-  void worker_main(std::size_t worker_index) {
-    // One executor per worker: it owns a long-lived sandbox child
-    // (respawned on death) whose sizing caches persist across units.
-    scenario::ScenarioExecutor executor(config.isolation, &sandbox_counters);
-    for (;;) {
-      Task task;
-      {
-        std::unique_lock<std::mutex> lock(task_mutex);
-        task_cv.wait(lock,
-                     [this] { return workers_quit || !task_queue.empty(); });
-        if (workers_quit) {
-          return;  // Graceful stop re-marks queued tasks as pending.
-        }
-        task = std::move(task_queue.front());
-        task_queue.pop_front();
-        // Registered before task_mutex is released, so handle_cancel finds
-        // every unit either still queued or already interruptible.
-        std::lock_guard<std::mutex> active_lock(active_mutex);
-        active_units[worker_index] = ActiveUnit{task.job_id, &executor};
-      }
-      std::vector<Completion> batch = run_unit(task, executor);
-      {
-        std::lock_guard<std::mutex> lock(active_mutex);
-        active_units.erase(worker_index);
-      }
-      // Re-arm after the unit is deregistered: a cancel can only aim an
-      // interrupt at the registered unit, so a flag still set here is
-      // either consumed (withdrawn rows above) or raced a unit that
-      // finished anyway -- never meant for the next task.
-      executor.clear_interrupt();
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex);
-        for (Completion& done : batch) {
-          completions.push_back(std::move(done));
-        }
-      }
-      wake();
-    }
-  }
+  // --- Event thread -----------------------------------------------------
 
   void event_main() {
     dispatch();  // Recovered orphans start executing immediately.
@@ -1613,34 +1411,13 @@ struct ScenarioServer::Impl {
     stopped_cv.notify_all();
   }
 
-  /// Graceful drain: queued-but-unstarted tasks return to pending (they
-  /// have no journal entry, so a restart resumes them -- exactly the
-  /// campaign engine's stop-flag semantics), in-flight scenarios finish on
-  /// their workers and are journaled, then every session closes.
+  /// Graceful drain: the engine's stop -- unclaimed units return to
+  /// pending (no journal entry, so a restart resumes them), in-flight
+  /// units finish and are journaled -- then every session closes.
   void shutdown_gracefully() {
-    draining = true;
-    {
-      std::lock_guard<std::mutex> lock(task_mutex);
-      for (const Task& task : task_queue) {
-        auto it = jobs.find(task.job_id);
-        if (it != jobs.end()) {
-          ClientSlot& slot = slot_of(it->second.owner);
-          for (const TaskEntry& entry : task.entries) {
-            it->second.state[entry.index] = SpecState::kPending;
-            if (slot.inflight > 0) {
-              slot.inflight--;
-            }
-          }
-        }
-      }
-      task_queue.clear();
-      workers_quit = true;
+    for (const scenario::DispatchUnit& unit : engine->stop()) {
+      release(unit);
     }
-    task_cv.notify_all();
-    for (std::thread& worker : worker_threads) {
-      worker.join();
-    }
-    worker_threads.clear();
     drain_completions();
 
     std::vector<int> open_fds;
@@ -1758,11 +1535,17 @@ bool ScenarioServer::start(std::string* error) {
     impl.recover_jobs();
   }
 
-  const std::size_t workers =
-      impl.config.workers == 0 ? 1 : impl.config.workers;
-  for (std::size_t i = 0; i < workers; ++i) {
-    impl.worker_threads.emplace_back([this, i] { impl_->worker_main(i); });
-  }
+  impl.engine = std::make_unique<scenario::UnitEngine>(
+      impl.config.workers, impl.config.isolation,
+      [&impl](scenario::DispatchUnit unit,
+              std::vector<scenario::ExecutedScenario> rows) {
+        {
+          std::lock_guard<std::mutex> lock(impl.completion_mutex);
+          impl.completions.push_back(
+              Completion{std::move(unit), std::move(rows)});
+        }
+        impl.wake();
+      });
   impl.event_thread = std::thread([this] { impl_->event_main(); });
   {
     std::lock_guard<std::mutex> lock(impl.lifecycle_mutex);
@@ -1816,10 +1599,13 @@ ServiceStats ScenarioServer::stats() const {
   Impl& impl = *impl_;
   std::lock_guard<std::mutex> lock(impl.stats_mutex);
   ServiceStats snapshot = impl.stats_data;
-  snapshot.sandbox_crashes = impl.sandbox_counters.crashes.load();
-  snapshot.workers_respawned = impl.sandbox_counters.respawns.load();
-  snapshot.resource_kills = impl.sandbox_counters.resource_kills.load();
-  snapshot.workers_lost = impl.sandbox_counters.workers_lost.load();
+  if (impl.engine) {
+    const scenario::SandboxCounters& counters = impl.engine->counters();
+    snapshot.sandbox_crashes = counters.crashes.load();
+    snapshot.workers_respawned = counters.respawns.load();
+    snapshot.resource_kills = counters.resource_kills.load();
+    snapshot.workers_lost = counters.workers_lost.load();
+  }
   return snapshot;
 }
 

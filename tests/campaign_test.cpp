@@ -1,26 +1,35 @@
 // Tests for the crash-safe campaign engine and its chaos companion:
-// journal/resume byte-identity (including torn-tail recovery), watchdog
-// isolation with bounded retry, structured error rows, seeded storm
+// journal/resume byte-identity (including torn-tail recovery), graceful
+// stop points and journal disk faults, watchdog isolation with bounded
+// retry, structured error rows, seeded storm
 // expansion, the delta-debugging shrinker, replay bundles, the flat-JSON
 // parser / atomic writer they ride on, and the runner's CLI grammar.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <climits>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ddl/analysis/bench_json.h"
+#include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/campaign.h"
 #include "ddl/scenario/chaos.h"
 #include "ddl/scenario/cli.h"
+#include "ddl/scenario/journal.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/spec.h"
+#include "ddl/scenario/workspace.h"
 
 namespace {
 
@@ -298,6 +307,106 @@ TEST(CampaignTest, DuplicateScenarioNamesAreRejected) {
   std::vector<ScenarioSpec> specs = {quick_spec("dup", 1),
                                      quick_spec("dup", 2)};
   EXPECT_THROW(Campaign(CampaignConfig{}).run(specs), std::invalid_argument);
+}
+
+// ---- Graceful stop and disk faults ----------------------------------------
+
+/// Commit records (result lines) in the journal file at `path`.
+std::size_t commits_in(const std::string& path) {
+  return record_ends(slurp(path)).size() - 1;
+}
+
+TEST(CampaignStopTest, EveryStopPointResumesToTheUninterruptedStreams) {
+  // Property: a graceful stop raised once the journal holds the commit
+  // records of k dispatch units -- for every k from 0 to the number of
+  // units, at 1 and 3 jobs -- skips only unstarted units, journals exactly
+  // what it executed, and one resume reproduces the uninterrupted streams.
+  // The regression suite plans into closed-loop lane streams, an MC-yield
+  // group and scalar units.
+  const auto specs = ScenarioRegistry::builtin().expand("regression");
+  std::vector<std::size_t> boundaries{0};  // Commits after k units.
+  {
+    ddl::scenario::ScenarioWorkspace workspace;
+    for (const auto& unit : ddl::scenario::dispatch_units(
+             ddl::scenario::plan_batches(specs, workspace))) {
+      boundaries.push_back(boundaries.back() + unit.size());
+    }
+  }
+  const std::size_t units = boundaries.size() - 1;
+  ASSERT_GE(units, 3u);
+  CampaignConfig reference_config;
+  reference_config.jobs = 3;
+  const auto reference = Campaign(reference_config).run(specs);
+
+  for (const std::size_t jobs : {1u, 3u}) {
+    std::string reached;  // "k->executed" per stop point.
+    for (std::size_t k = 0; k <= units; ++k) {
+      const std::string where = "stop after " + std::to_string(k) +
+                                " units, jobs " + std::to_string(jobs);
+      std::atomic<bool> stop{k == 0};
+      CampaignConfig config;
+      config.journal_dir = fresh_dir("stop");
+      config.jobs = jobs;
+      config.stop = &stop;
+      const std::string journal = config.journal_dir + "/journal.jsonl";
+      std::atomic<bool> finished{false};
+      std::thread watcher([&] {
+        while (!finished.load() && !stop.load()) {
+          if (commits_in(journal) >= boundaries[k]) {
+            stop.store(true);
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      });
+      const auto stopped = Campaign(config).run(specs);
+      finished.store(true);
+      watcher.join();
+      if (k == 0) {
+        EXPECT_EQ(stopped.executed, 0u) << where;  // Raised before the run.
+      }
+      EXPECT_EQ(stopped.executed + stopped.skipped, specs.size()) << where;
+      EXPECT_EQ(stopped.interrupted, stopped.skipped > 0) << where;
+      EXPECT_EQ(commits_in(journal), stopped.executed) << where;
+      reached += " " + std::to_string(k) + "->" +
+                 std::to_string(stopped.executed);
+
+      CampaignConfig resume = config;
+      resume.resume = true;
+      resume.stop = nullptr;
+      const auto resumed = Campaign(resume).run(specs);
+      EXPECT_EQ(resumed.jsonl(), reference.jsonl()) << where;
+      EXPECT_EQ(resumed.health_jsonl, reference.health_jsonl) << where;
+      EXPECT_EQ(resumed.resumed, stopped.executed) << where;
+      EXPECT_FALSE(resumed.interrupted) << where;
+    }
+    // Which stop points the runs reached: units requested -> scenarios
+    // executed before the stop took hold.
+    std::printf("[ stop points, jobs %zu, %zu units ]%s\n", jobs, units,
+                reached.c_str());
+    ::testing::Test::RecordProperty("stop_points_jobs" + std::to_string(jobs),
+                                    reached);
+  }
+}
+
+TEST(CampaignTest, JournalDiskFaultReachesTheCallerAsJournalIoError) {
+  // /dev/full fails every append with ENOSPC.  Records are appended on the
+  // engine's worker threads; the error must still reach run()'s caller
+  // (the runner CLI maps it to exit 74), and the run must return.
+  for (const std::size_t jobs : {1u, 3u}) {
+    CampaignConfig config;
+    config.journal_dir = fresh_dir("disk_full" + std::to_string(jobs));
+    config.jobs = jobs;
+    std::error_code ec;
+    fs::create_symlink("/dev/full", config.journal_dir + "/journal.jsonl",
+                       ec);
+    ASSERT_FALSE(ec) << ec.message();
+    try {
+      Campaign(config).run(quick_batch());
+      ADD_FAILURE() << "a full disk must fail the campaign, jobs " << jobs;
+    } catch (const ddl::scenario::JournalIoError& e) {
+      EXPECT_EQ(e.error_number(), ENOSPC) << e.what();
+    }
+  }
 }
 
 // ---- Isolation ------------------------------------------------------------

@@ -2,8 +2,9 @@
 // classification (SIGSEGV / SIGABRT / RLIMIT_AS / RLIMIT_CPU -> structured
 // ScenarioError rows), worker respawn, byte-identity with the in-process
 // ScenarioRunner, golden timeout rows, journaled crash rows replaying
-// byte-identically on resume, cancel interrupts, and the journal writer's
-// fail-closed disk-fault handling.
+// byte-identically on resume, cancel interrupts, the unit engine's
+// withdraw and stop rules, and the journal writer's fail-closed disk-fault
+// handling.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +12,16 @@
 #include <chrono>
 #include <climits>
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ddl/scenario/campaign.h"
+#include "ddl/scenario/engine.h"
 #include "ddl/scenario/journal.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
@@ -39,6 +45,7 @@ namespace fs = std::filesystem;
 
 using ddl::scenario::Campaign;
 using ddl::scenario::CampaignConfig;
+using ddl::scenario::DispatchUnit;
 using ddl::scenario::ExecutedScenario;
 using ddl::scenario::IsolationConfig;
 using ddl::scenario::JournalIoError;
@@ -49,6 +56,7 @@ using ddl::scenario::ScenarioExecutor;
 using ddl::scenario::ScenarioRegistry;
 using ddl::scenario::ScenarioRunner;
 using ddl::scenario::ScenarioSpec;
+using ddl::scenario::UnitEngine;
 
 ScenarioSpec quick_spec(const std::string& variant, std::uint64_t seed) {
   ScenarioSpec spec;
@@ -289,6 +297,102 @@ TEST(SandboxTest, InterruptRacingTheWorkerSpawnStillWithdrawsTheUnit) {
     EXPECT_TRUE(runs.empty()) << "interrupt after " << delay_us << " us";
     EXPECT_LT(elapsed, std::chrono::seconds(10))
         << "interrupt after " << delay_us << " us";
+  }
+}
+
+// ---- Unit engine ----------------------------------------------------------
+
+DispatchUnit unit_of(const std::string& job, const ScenarioSpec& spec) {
+  return DispatchUnit{job, {0}, {spec}};
+}
+
+TEST(UnitEngineTest, WithdrawHandsBackQueuedUnitsAndKillsRunningOnes) {
+  // One worker: job a's hung unit runs while a's second unit and b's unit
+  // queue behind it.  withdraw("a") hands back what is queued of a, kills
+  // what runs (it calls back with no rows), and b still runs.
+  IsolationConfig isolation;
+  isolation.timeout_ms = 60'000;
+  ScenarioSpec hang = quick_spec("engine_hang", 51);
+  hang.debug_hang_ms = 30'000;
+  hang.debug_hang_attempts = INT_MAX;
+  std::mutex mutex;
+  std::map<std::string, std::size_t> rows_of;
+  UnitEngine engine(1, isolation,
+                    [&](const DispatchUnit& unit,
+                        std::vector<ExecutedScenario> rows) {
+                      std::lock_guard<std::mutex> lock(mutex);
+                      rows_of[unit.specs.front().name] = rows.size();
+                    });
+  const auto start = std::chrono::steady_clock::now();
+  engine.submit(unit_of("a", hang));
+  engine.submit(unit_of("a", quick_spec("engine_a", 52)));
+  engine.submit(unit_of("b", quick_spec("engine_b", 53)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::set<std::string> withdrawn;
+  for (const DispatchUnit& unit : engine.withdraw("a")) {
+    withdrawn.insert(unit.specs.front().name);
+  }
+  engine.wait();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+  EXPECT_TRUE(engine.stop().empty());
+
+  // Every unit of a is withdrawn exactly once: handed back while queued,
+  // or called back empty after its worker was killed.
+  for (const auto& [name, rows] : rows_of) {
+    if (rows == 0) {
+      EXPECT_TRUE(withdrawn.insert(name).second) << name;
+    }
+  }
+  EXPECT_EQ(withdrawn, (std::set<std::string>{
+                           hang.name, quick_spec("engine_a", 52).name}));
+  EXPECT_EQ(rows_of[quick_spec("engine_b", 53).name], 1u);
+}
+
+TEST(UnitEngineTest, StopRuleClaimsNothingMoreAndHandsBackTheRestInOrder) {
+  const std::vector<ScenarioSpec> specs = {
+      quick_spec("engine_0", 61), quick_spec("engine_1", 62),
+      quick_spec("engine_2", 63)};
+  auto names = [](const std::vector<DispatchUnit>& units) {
+    std::vector<std::string> out;
+    for (const DispatchUnit& unit : units) {
+      out.push_back(unit.specs.front().name);
+    }
+    return out;
+  };
+
+  // A raised stop flag: nothing is claimed, everything comes back in
+  // submission order.
+  {
+    const std::atomic<bool> stop{true};
+    std::size_t calls = 0;
+    UnitEngine engine(
+        2, IsolationConfig{},
+        [&](const DispatchUnit&, std::vector<ExecutedScenario>) { ++calls; },
+        &stop);
+    for (const ScenarioSpec& spec : specs) {
+      engine.submit(unit_of("", spec));
+    }
+    engine.wait();
+    EXPECT_EQ(names(engine.stop()),
+              (std::vector<std::string>{specs[0].name, specs[1].name,
+                                        specs[2].name}));
+    EXPECT_EQ(calls, 0u);
+  }
+
+  // A throwing callback halts claiming like a stop: wait() rethrows, and
+  // with one worker the two units behind the first come back unclaimed.
+  {
+    UnitEngine engine(1, IsolationConfig{},
+                      [](const DispatchUnit&, std::vector<ExecutedScenario>) {
+                        throw std::runtime_error("callback failed");
+                      });
+    for (const ScenarioSpec& spec : specs) {
+      engine.submit(unit_of("", spec));
+    }
+    EXPECT_THROW(engine.wait(), std::runtime_error);
+    EXPECT_EQ(names(engine.stop()),
+              (std::vector<std::string>{specs[1].name, specs[2].name}));
   }
 }
 

@@ -782,6 +782,20 @@ TEST(ServiceTest, FormatTwoJournalsAreRefusedAndLeftOnDisk) {
   ScenarioServer server(config);
   ASSERT_TRUE(server.start());
   EXPECT_EQ(server.stats().jobs_recovered, 0u);
+
+  // Resubmitting that job is refused with a final error frame (one submit,
+  // no retry) instead of re-creating the job over the kept directory.
+  ResilientClientConfig resilient;
+  resilient.base = client_for(server, "cutter");
+  ResilientScenarioClient client(resilient);
+  const auto outcome = client.run_specs("cuts", specs);
+  EXPECT_FALSE(outcome.done);
+  EXPECT_EQ(outcome.error_code, "job_unrecoverable") << outcome.error_detail;
+  EXPECT_EQ(client.reconnects(), 0u);
+  EXPECT_EQ(client.resubmits(), 0u);
+  EXPECT_EQ(server.stats().jobs_accepted, 0u);
+  EXPECT_EQ(server.stats().error_frames, 1u);
+  EXPECT_EQ(snapshot(dir), before);
   server.stop();
   EXPECT_EQ(snapshot(dir), before);
 }

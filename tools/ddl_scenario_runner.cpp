@@ -42,7 +42,7 @@ namespace {
 using namespace ddl;
 
 // SIGTERM/SIGINT flip this flag (the only async-signal-safe thing to do);
-// the campaign polls it before *starting* each scenario, so in-flight work
+// the campaign polls it before *starting* each dispatch unit, so in-flight work
 // finishes and journals normally and the journal stays resumable.
 std::atomic<bool> g_stop{false};
 
