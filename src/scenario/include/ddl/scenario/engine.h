@@ -58,8 +58,8 @@ class UnitEngine {
   std::vector<DispatchUnit> withdraw(const std::string& job);
 
   /// Blocks until no unit runs and none is claimable: every submitted unit
-  /// has called back, or the stop rule holds the rest.  Rethrows the first
-  /// exception a callback threw.
+  /// has called back, or the stop rule holds the rest (a raised stop flag
+  /// is seen within 20 ms).  Rethrows the first exception a callback threw.
   void wait();
 
   /// Graceful stop; returns the units never claimed, in queue order.

@@ -1,6 +1,7 @@
 #include "ddl/scenario/engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <iterator>
 #include <memory>
 #include <utility>
@@ -57,8 +58,11 @@ std::vector<DispatchUnit> UnitEngine::withdraw(const std::string& job) {
 
 void UnitEngine::wait() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock,
-                [this] { return busy_ == 0 && (queue_.empty() || halted()); });
+  // Polled too: a signal handler raises the stop flag without a notify.
+  while (!idle_cv_.wait_for(lock, std::chrono::milliseconds(20), [this] {
+    return busy_ == 0 && (queue_.empty() || halted());
+  })) {
+  }
   if (error_ != nullptr) {
     std::rethrow_exception(error_);
   }

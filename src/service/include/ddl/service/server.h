@@ -7,9 +7,10 @@
 // accepted job gets `state_dir/jobs/<job_id>/` holding its spec list, its
 // journal (one commit record per scenario) and a manifest written once.  A
 // restarted server rescans that tree and reloads each job through the
-// same resume_journal() as a campaign `--resume` (a directory it cannot
-// reload, a format-2 journal included, stays on disk untouched, and a
-// resubmit of its job gets a final `job_unrecoverable` error).  It resumes
+// same resume_journal() as a campaign `--resume` (a journaled directory it
+// cannot reload, a format-2 one included, stays on disk untouched, and a
+// resubmit of its job gets a final `job_unrecoverable` error; one cut short
+// before its manifest was never accepted and is created over).  It resumes
 // incomplete jobs as *orphans* (they keep executing with no client
 // attached) and replays committed rows byte-exactly to a client that
 // resubmits the same job -- job identity is content-addressed (client

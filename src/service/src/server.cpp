@@ -326,6 +326,9 @@ struct ScenarioServer::Impl {
 
     if (!config.state_dir.empty()) {
       const std::string dir = job_dir(job.id);
+      // Clears what a create cut short before its manifest left behind;
+      // admit() refuses every directory that has one.
+      fs::remove_all(dir);
       fs::create_directories(dir);
       analysis::JsonObject meta;
       meta.set("schema_version", analysis::kBenchJsonSchemaVersion);
@@ -564,41 +567,38 @@ struct ScenarioServer::Impl {
     // comes back with no rows, so its specs stay pending.
     release(done.unit);
     for (std::size_t k = 0; k < done.rows.size(); ++k) {
-      complete_spec(job, done.unit.indices[k], std::move(done.rows[k]));
-    }
-    settle(job);
-  }
-
-  void complete_spec(Job& job, std::size_t index,
-                     scenario::ExecutedScenario&& run) {
-    job.result_lines[index] = std::move(run.line);
-    job.health_lines[index] = std::move(run.health_lines);
-    job.state[index] = SpecState::kDone;
-    job.completed++;
-    job.passed += run.result.pass ? 1 : 0;
-    if (job.journal) {
-      try {
-        job.journal->record(job.result_lines[index],
-                            job.health_lines[index]);
-      } catch (const scenario::JournalIoError& e) {
-        // Disk fault (ENOSPC/EIO): drop the job's durability fail-closed
-        // -- no torn-commit ambiguity on a later resume -- and tell the
-        // client.  The job keeps executing in memory.
-        job.journal.reset();
-        bump(&ServiceStats::journal_io_errors);
-        auto error_session = sessions.find(job.session_fd);
-        if (error_session != sessions.end()) {
-          send_error(error_session->second, "journal_io", e.what(), job.tag);
+      const std::size_t index = done.unit.indices[k];
+      job.result_lines[index] = std::move(done.rows[k].line);
+      job.health_lines[index] = std::move(done.rows[k].health_lines);
+      job.state[index] = SpecState::kDone;
+      job.completed++;
+      job.passed += done.rows[k].result.pass ? 1 : 0;
+      if (job.journal) {
+        try {
+          job.journal->record(job.result_lines[index],
+                              job.health_lines[index]);
+        } catch (const scenario::JournalIoError& e) {
+          // Disk fault (ENOSPC/EIO): drop the job's durability fail-closed
+          // -- no torn-commit ambiguity on a later resume -- and tell the
+          // client.  The job keeps executing in memory.
+          job.journal.reset();
+          bump(&ServiceStats::journal_io_errors);
+          auto error_session = sessions.find(job.session_fd);
+          if (error_session != sessions.end()) {
+            send_error(error_session->second, "journal_io", e.what(),
+                       job.tag);
+          }
         }
       }
-    }
-    bump(&ServiceStats::scenarios_executed);
+      bump(&ServiceStats::scenarios_executed);
 
-    auto session_it = sessions.find(job.session_fd);
-    if (session_it != sessions.end()) {
-      send_result_frames(session_it->second, job, index);
-      send_progress(session_it->second, job);
+      auto session_it = sessions.find(job.session_fd);
+      if (session_it != sessions.end()) {
+        send_result_frames(session_it->second, job, index);
+        send_progress(session_it->second, job);
+      }
     }
+    settle(job);
   }
 
   /// Retires a job from scheduling once it is done, or cancelled with
@@ -916,10 +916,11 @@ struct ScenarioServer::Impl {
       return;
     }
     std::error_code ec;
-    if (!config.state_dir.empty() && fs::exists(job_dir(id), ec)) {
-      // Recovery skipped this job's directory (a format-2 journal, an
-      // unreadable or mismatched file).  It stays on disk for inspection:
-      // the submit is refused, final, rather than re-created over it.
+    if (!config.state_dir.empty() &&
+        fs::exists(scenario::manifest_path(job_dir(id)), ec)) {
+      // Recovery skipped this journaled directory (format 2, unreadable or
+      // mismatched); it stays for inspection and the submit is refused,
+      // final.  One without a manifest was never accepted: created over.
       send_error(session, "job_unrecoverable",
                  "job directory '" + job_dir(id) +
                      "' exists but could not be recovered; move it away "
@@ -1173,14 +1174,13 @@ struct ScenarioServer::Impl {
       // Sandbox containment telemetry rides the heartbeat so a client can
       // watch crash/respawn counts without a dedicated stats request.
       const scenario::SandboxCounters& counters = engine->counters();
-      frame.set("sandbox_crashes",
-                static_cast<std::uint64_t>(counters.crashes.load()));
-      frame.set("workers_respawned",
-                static_cast<std::uint64_t>(counters.respawns.load()));
-      frame.set("resource_kills",
-                static_cast<std::uint64_t>(counters.resource_kills.load()));
-      frame.set("workers_lost",
-                static_cast<std::uint64_t>(counters.workers_lost.load()));
+      const auto count = [](const std::atomic<std::size_t>& counter) {
+        return static_cast<std::uint64_t>(counter.load());
+      };
+      frame.set("sandbox_crashes", count(counters.crashes));
+      frame.set("workers_respawned", count(counters.respawns));
+      frame.set("resource_kills", count(counters.resource_kills));
+      frame.set("workers_lost", count(counters.workers_lost));
       send_frame(session, frame);
       bump(&ServiceStats::heartbeats);
     }
@@ -1276,11 +1276,9 @@ struct ScenarioServer::Impl {
     scenario::RestoredRows rows = scenario::restore_rows(journal, job.specs);
     job.result_lines = std::move(rows.lines);
     job.health_lines = std::move(rows.health);
-    job.state.assign(job.specs.size(), SpecState::kPending);
-    for (std::size_t i = 0; i < job.specs.size(); ++i) {
-      if (!job.result_lines[i].empty()) {
-        job.state[i] = SpecState::kDone;
-      }
+    for (const std::string& line : job.result_lines) {
+      job.state.push_back(line.empty() ? SpecState::kPending
+                                       : SpecState::kDone);
     }
     job.completed = job.resumed = rows.restored;
     job.passed = rows.passed;
@@ -1541,8 +1539,7 @@ bool ScenarioServer::start(std::string* error) {
               std::vector<scenario::ExecutedScenario> rows) {
         {
           std::lock_guard<std::mutex> lock(impl.completion_mutex);
-          impl.completions.push_back(
-              Completion{std::move(unit), std::move(rows)});
+          impl.completions.push_back({std::move(unit), std::move(rows)});
         }
         impl.wake();
       });

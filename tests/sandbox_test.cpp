@@ -11,7 +11,10 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <mutex>
 #include <set>
@@ -393,6 +396,51 @@ TEST(UnitEngineTest, StopRuleClaimsNothingMoreAndHandsBackTheRestInOrder) {
     EXPECT_THROW(engine.wait(), std::runtime_error);
     EXPECT_EQ(names(engine.stop()),
               (std::vector<std::string>{specs[1].name, specs[2].name}));
+  }
+}
+
+TEST(UnitEngineTest, StopFlagRaisedAtAnyMomentStillEndsTheWait) {
+  // A signal handler raises the stop flag without a notify.  Swept five
+  // times across the first 50 us it lands before, between and after the
+  // first claims -- also after wait() has gone to sleep with units queued
+  // and none claimed yet.  wait() must return every time, and every unit
+  // is either called back or handed back by stop().
+  const std::vector<ScenarioSpec> specs = {
+      quick_spec("engine_s0", 71), quick_spec("engine_s1", 72),
+      quick_spec("engine_s2", 73), quick_spec("engine_s3", 74)};
+  for (int sweep = 0; sweep < 250; ++sweep) {
+    const int delay_us = sweep % 50;
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> calls{0};
+    std::promise<void> returned;
+    const auto raise_at = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(delay_us);
+    std::thread raiser([&, done = returned.get_future()] {
+      while (std::chrono::steady_clock::now() < raise_at) {
+      }  // Spun, not slept: a sleep's timer slack would blur the sweep.
+      stop.store(true);
+      if (done.wait_for(std::chrono::seconds(20)) !=
+          std::future_status::ready) {
+        // Nothing can wake the stuck wait(), so the binary cannot go on.
+        std::fprintf(stderr, "wait() hung: stop raised after %d us\n",
+                     delay_us);
+        std::abort();
+      }
+    });
+    // Built after the raiser: a worker still starting up widens the window
+    // between wait() going to sleep and the first claim check.
+    UnitEngine engine(
+        2, IsolationConfig{},
+        [&](const DispatchUnit&, std::vector<ExecutedScenario>) { ++calls; },
+        &stop);
+    for (const ScenarioSpec& spec : specs) {
+      engine.submit(unit_of("", spec));
+    }
+    engine.wait();
+    returned.set_value();
+    raiser.join();
+    EXPECT_EQ(calls.load() + engine.stop().size(), specs.size())
+        << "stop raised after " << delay_us << " us";
   }
 }
 

@@ -800,6 +800,46 @@ TEST(ServiceTest, FormatTwoJournalsAreRefusedAndLeftOnDisk) {
   EXPECT_EQ(snapshot(dir), before);
 }
 
+TEST(ServiceTest, AJobDirectoryCutShortBeforeItsManifestIsStartedOver) {
+  // create_job writes specs.jsonl, job.json and then the journal manifest,
+  // and only then sends `accepted`.  A daemon killed (or an io_error) in
+  // between leaves a directory recovery skips.  The client was never told
+  // `accepted`, so its resubmit is accepted and runs, not refused.
+  const std::vector<ScenarioSpec> specs = {quick_spec("cut-a", 21),
+                                           supervised_spec()};
+  const auto reference = ScenarioRunner(1).run(specs);
+  const std::string full_state = fresh_dir("partial_full");
+  const std::string job_id = run_job_to_completion(full_state, specs);
+  const fs::path full_dir = fs::path(full_state) / "jobs" / job_id;
+  const std::vector<std::vector<std::string>> leftovers = {
+      {}, {"specs.jsonl"}, {"specs.jsonl", "job.json"}};
+  for (const std::vector<std::string>& files : leftovers) {
+    const std::string where = std::to_string(files.size()) + " files left";
+    const std::string state = fresh_dir("partial");
+    const fs::path dir = fs::path(state) / "jobs" / job_id;
+    fs::create_directories(dir);
+    for (const std::string& file : files) {
+      fs::copy_file(full_dir / file, dir / file);
+    }
+    ServiceConfig config = base_config();
+    config.state_dir = state;
+    ScenarioServer server(config);
+    ASSERT_TRUE(server.start()) << where;
+    EXPECT_EQ(server.stats().jobs_recovered, 0u) << where;
+    ResilientClientConfig resilient;
+    resilient.base = client_for(server, "cutter");
+    ResilientScenarioClient client(resilient);
+    const auto outcome = client.run_specs("cuts", specs);
+    ASSERT_TRUE(outcome.done) << where << ": " << outcome.error_code << " "
+                              << outcome.error_detail;
+    EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(reference)) << where;
+    EXPECT_EQ(outcome.health_jsonl(), ScenarioRunner::health_jsonl(reference))
+        << where;
+    EXPECT_EQ(server.stats().jobs_accepted, 1u) << where;
+    server.stop();
+  }
+}
+
 // ---- Error paths ----------------------------------------------------------
 
 TEST(ServiceTest, MalformedSubmissionsGetStructuredErrorFrames) {
