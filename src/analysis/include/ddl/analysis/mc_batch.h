@@ -87,7 +87,7 @@ struct McBatchStats {
 
 /// Per-die max-INL samples in die-index order -- element i is exactly
 /// `batch_die_inl_scalar(spec, i, die_seed(base_seed, i))`.  The raw form
-/// the equivalence tests and the CI mc-equivalence job cross-validate.
+/// the equivalence tests cross-validate on every kernel variant.
 std::vector<double> monte_carlo_batched_samples(const McBatchSpec& spec,
                                                 std::size_t trials,
                                                 std::uint64_t base_seed,

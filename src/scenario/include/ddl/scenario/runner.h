@@ -18,7 +18,6 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/scenario/spec.h"
-#include "ddl/sim/simulator.h"
 
 namespace ddl::scenario {
 
@@ -89,13 +88,6 @@ struct ScenarioResult {
   double mc_inl_mean_lsb = 0.0;    ///< Max-|INL| distribution, in LSBs.
   double mc_inl_p95_lsb = 0.0;
   double mc_inl_max_lsb = 0.0;
-
-  /// Event-kernel execution counters accumulated by this scenario.  The
-  /// built-in behavioral scenarios never instantiate a `sim::Simulator`, so
-  /// today these stay zero; gate-level scenario paths fill them in.  They
-  /// feed the suite aggregate only -- per-scenario JSONL stays free of
-  /// kernel internals so the stream remains byte-stable.
-  sim::KernelCounters kernel;
 };
 
 /// Renders one result as a flat ordered JsonObject (the JSONL record
@@ -166,9 +158,6 @@ struct SuiteSummary {
   std::map<std::string, std::size_t> failures;
   /// Family -> {passed, total}, key-sorted.
   std::map<std::string, std::pair<std::size_t, std::size_t>> by_family;
-  /// Kernel counters summed across every scenario (see
-  /// ScenarioResult::kernel); surfaced in the aggregate BenchReport.
-  sim::KernelCounters kernel;
 };
 
 SuiteSummary summarize(const std::vector<ScenarioResult>& results);

@@ -734,9 +734,6 @@ SuiteSummary summarize(const std::vector<ScenarioResult>& results) {
   for (const ScenarioResult& result : results) {
     auto& family = summary.by_family[result.family];
     ++family.second;
-    summary.kernel.signal_events += result.kernel.signal_events;
-    summary.kernel.tasks += result.kernel.tasks;
-    summary.kernel.cancelled_inertial += result.kernel.cancelled_inertial;
     if (result.locked) {
       ++summary.locked;
     }

@@ -52,7 +52,7 @@ constexpr std::size_t kMaxSpecsPerSubmit = 4096;
 constexpr std::size_t kMaxErrorDetail = 2000;
 constexpr std::size_t kDefaultMaxOutboxBytes = std::size_t{32} << 20;
 constexpr std::size_t kDefaultMaxFramesPerTick = 256;
-constexpr std::size_t kDefaultMaxRxBytesPerTick = std::size_t{256} << 10;
+constexpr std::size_t kMaxRxBytesPerTick = std::size_t{256} << 10;
 
 /// Content-addressed job identity: same client, same tag, same spec bytes
 /// -> same id, so resubmission after a crash or disconnect attaches to the
@@ -1075,17 +1075,14 @@ struct ScenarioServer::Impl {
   /// budgets.  True when complete frames may still be buffered (the frame
   /// budget ran out) -- the caller polls again without sleeping.
   bool read_session(Session& session) {
-    const std::size_t rx_budget = config.max_rx_bytes_per_tick == 0
-                                      ? kDefaultMaxRxBytesPerTick
-                                      : config.max_rx_bytes_per_tick;
     const std::size_t frame_budget = config.max_frames_per_tick == 0
                                          ? kDefaultMaxFramesPerTick
                                          : config.max_frames_per_tick;
     char chunk[4096];
     std::size_t read_bytes = 0;
-    while (read_bytes < rx_budget) {
+    while (read_bytes < kMaxRxBytesPerTick) {
       const std::size_t want =
-          std::min(sizeof(chunk), rx_budget - read_bytes);
+          std::min(sizeof(chunk), kMaxRxBytesPerTick - read_bytes);
       const ssize_t got = net::retry_eintr(
           [&] { return ::recv(session.fd, chunk, want, 0); });
       if (got > 0) {

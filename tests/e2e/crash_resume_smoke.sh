@@ -3,16 +3,13 @@
 # byte-identical to an uninterrupted run; then check that a hung scenario is
 # timed out, retried and reported as a row without aborting the batch.
 #
-# Usage: crash_resume_smoke.sh <ddl_scenario_runner> <work-dir>
+# Usage: crash_resume_smoke.sh <work-dir> <ddl_scenario_runner>
 # The work directory is wiped and re-created; every artifact lands there.
 set -e
+. "$(dirname "$0")/lib.sh"
 
-runner=$1
-work=$2
-rm -rf "$work"
-mkdir -p "$work"
-cd "$work"
-export DDL_BENCH_DIR=$PWD
+runner=$2
+enter_workdir "$1"
 
 # Uninterrupted reference run.
 "$runner" --suite regression --jobs 2 \

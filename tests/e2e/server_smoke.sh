@@ -5,36 +5,23 @@
 # stream must be byte-identical to the one-shot runner, and no scenario may
 # run twice.
 #
-# Usage: server_smoke.sh <ddl_scenario_runner> <ddl_scenario_server>
-#                        <ddl_scenario_client> <work-dir>
+# Usage: server_smoke.sh <work-dir> <ddl_scenario_runner>
+#                        <ddl_scenario_server> <ddl_scenario_client>
 # The work directory is wiped and re-created; every artifact lands there.
 set -e
+. "$(dirname "$0")/lib.sh"
 
-runner=$1
-server=$2
-client=$3
-work=$4
-rm -rf "$work"
-mkdir -p "$work"
-cd "$work"
-export DDL_BENCH_DIR=$PWD
-
-# Waits for a daemon's `listening` line in log $1 and prints its port.
-port_of() {
-  for _ in $(seq 1 100); do
-    grep -q listening "$1" 2>/dev/null && break
-    sleep 0.1
-  done
-  sed -n 's/.*tcp=\([0-9]*\).*/\1/p' "$1"
-}
+runner=$2
+server=$3
+client=$4
+enter_workdir "$1"
 
 # Single-shot reference run.
 "$runner" --suite smoke --out golden.jsonl --health-out golden-health.jsonl
 
 # Three clients, kill -9 the server mid-campaign, restart.
-"$server" --port 0 --workers 2 --state-dir state > server1.log &
-srv=$!
-port=$(port_of server1.log)
+launch server1.log "$server" --port 0 --workers 2 --state-dir state
+srv=$pid
 echo "server on port $port"
 for c in c1 c2 c3; do
   "$client" --port "$port" --name "$c" \
@@ -77,9 +64,8 @@ done
 echo "3 clients byte-identical to the one-shot runner, no reruns"
 
 # Kill -9 a client mid-submit; the orphan completes and replays.
-"$server" --port 0 --workers 2 --state-dir orphan-state > server3.log 2>&1 &
-srv=$!
-port=$(port_of server3.log)
+launch server3.log "$server" --port 0 --workers 2 --state-dir orphan-state
+srv=$pid
 "$client" --port "$port" --name ghost \
   --job doomed --suite smoke --out /dev/null 2> ghost1.log &
 cli=$!

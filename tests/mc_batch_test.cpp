@@ -5,15 +5,16 @@
 // ProposedDelayLine / ProposedController / DutyMapper objects -- exactly,
 // for any trial count, thread count, lane position and kernel variant.
 // These tests cross-validate die-by-die, so a single diverging die fails
-// with its index and both bit patterns; the CI mc-equivalence job runs
-// them under ASan/UBSan and uploads the offending seed as an artifact
-// (DDL_MC_EQUIV_ARTIFACT below).
+// with its index and both bit patterns.  ctest runs them on the dispatched
+// kernel and again as base_kernel_mc_batch_test, and collects the offending
+// seed as an artifact (DDL_MC_EQUIV_ARTIFACT below).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,8 @@ std::uint64_t bits_of(double x) {
 }
 
 /// When DDL_MC_EQUIV_ARTIFACT names a file, records the first diverging
-/// die there (base seed, die index, both bit patterns) so the CI
-/// mc-equivalence job can upload it as the reproducer artifact.
+/// die there (base seed, die index, both bit patterns) as the reproducer
+/// artifact.
 void report_divergence(std::uint64_t base_seed, std::size_t die,
                        std::size_t threads, double batched, double scalar) {
   const char* path = std::getenv("DDL_MC_EQUIV_ARTIFACT");
@@ -263,10 +264,17 @@ TEST(McBatch, BaseKernelBitIdenticalToDispatchedKernel) {
   const auto spec = fig50_spec();
   const auto dispatched = monte_carlo_batched_samples(spec, 64, 2024, 1);
   const std::string default_name = mc_batch_kernel_name();
+  // Restore the caller's setting afterwards: the suite also runs with the
+  // base kernel forced from the environment.
+  const char* caller = std::getenv("DDL_MC_BATCH_KERNEL");
+  const std::optional<std::string> saved =
+      caller != nullptr ? std::optional<std::string>(caller) : std::nullopt;
   ASSERT_EQ(setenv("DDL_MC_BATCH_KERNEL", "base", 1), 0);
   EXPECT_STREQ(mc_batch_kernel_name(), "base");
   const auto base = monte_carlo_batched_samples(spec, 64, 2024, 1);
-  ASSERT_EQ(unsetenv("DDL_MC_BATCH_KERNEL"), 0);
+  ASSERT_EQ(saved ? setenv("DDL_MC_BATCH_KERNEL", saved->c_str(), 1)
+                  : unsetenv("DDL_MC_BATCH_KERNEL"),
+            0);
   EXPECT_EQ(mc_batch_kernel_name(), default_name);
   EXPECT_EQ(base, dispatched)
       << "base and " << default_name << " kernels diverged";

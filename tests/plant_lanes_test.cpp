@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -134,7 +135,24 @@ std::string check_lanes(const std::vector<Sequence>& sequences,
 
 class PlantLanesTest : public ::testing::Test {
  protected:
-  void TearDown() override { unsetenv("DDL_MC_BATCH_KERNEL"); }
+  // A test that forces a kernel puts the caller's setting back: the suite
+  // also runs with the base kernel forced from the environment.
+  void SetUp() override {
+    const char* caller = std::getenv("DDL_MC_BATCH_KERNEL");
+    if (caller != nullptr) {
+      saved_ = caller;
+    }
+  }
+  void TearDown() override {
+    if (saved_) {
+      setenv("DDL_MC_BATCH_KERNEL", saved_->c_str(), 1);
+    } else {
+      unsetenv("DDL_MC_BATCH_KERNEL");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
 };
 
 TEST_F(PlantLanesTest, SequencesExerciseTheDiodeClampAndEmptySegments) {

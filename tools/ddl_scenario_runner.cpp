@@ -310,12 +310,6 @@ int main(int argc, char** argv) {
     report.set("chaos_seed", options.chaos_seed);
     report.set("replay_bundles", static_cast<std::uint64_t>(bundles.size()));
   }
-  // Kernel execution counters summed across the suite (zero for purely
-  // behavioral scenarios; see ScenarioResult::kernel).
-  report.set("kernel_signal_events", summary.kernel.signal_events);
-  report.set("kernel_tasks", summary.kernel.tasks);
-  report.set("kernel_cancelled_inertial", summary.kernel.cancelled_inertial);
-  report.set("kernel_executed_events", summary.kernel.total());
   report.set("wall_ms", wall_ms);
   for (const auto& [reason, count] : summary.failures) {
     report.set("failures." + reason, static_cast<std::uint64_t>(count));
