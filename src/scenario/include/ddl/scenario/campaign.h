@@ -3,30 +3,31 @@
 // A Campaign adds three things a long-running batch service needs that the
 // plain ScenarioRunner does not provide:
 //
-//   durability  every completed scenario is appended to an on-disk JSONL
-//               journal as one commit record (its health events, then its
-//               result line, in one append; journal.h) next to a manifest
-//               written once, when the journal is created.  A killed
-//               campaign resumes with `CampaignConfig::resume`: the journal
-//               is cut back to its last commit, completed scenarios are
-//               skipped and their journaled lines reused *byte-exactly*, so
-//               the final stream is identical to an uninterrupted run.
+//   durability  a run's rows live in a JobLedger (journal.h), the daemon's
+//               too: every completed scenario is appended to an on-disk
+//               JSONL journal as one commit record (its health events, then
+//               its result line, in one append) next to a manifest written
+//               once, when the journal is created.  A killed campaign
+//               resumes with `CampaignConfig::resume`: the journal is cut
+//               back to its last commit, completed scenarios are skipped
+//               and their journaled lines reused *byte-exactly*, so the
+//               final stream is identical to an uninterrupted run.
 //
 //   isolation   each scenario attempt runs in a sandbox worker process
-//               (sandbox.h) under a per-spec deadline (`timeout_ms`, or
-//               derived from the spec's period count).  Timeouts are
-//               classified transient and retried with exponential backoff
-//               up to `max_retries`; an exhausted scenario becomes a
-//               structured `verdict:"error"` row (ScenarioError::kTimeout)
-//               and the batch keeps going.  Crashes and resource kills
-//               become error rows too.  Exceptions are captured per
-//               scenario by `run_scenario_guarded` and are not retried
-//               (deterministic).
+//               (sandbox.h) under a per-spec deadline (`isolation`'s
+//               `timeout_ms`, or derived from the spec's period count).
+//               Timeouts are classified transient and retried with
+//               exponential backoff up to `max_retries`; an exhausted
+//               scenario becomes a structured `verdict:"error"` row
+//               (ScenarioError::kTimeout) and the batch keeps going.
+//               Crashes and resource kills become error rows too.
+//               Exceptions are captured per scenario by
+//               `run_scenario_guarded` and are not retried (deterministic).
 //               The pending specs are planned first (batch_plan.h): each
 //               MC-yield group or closed-loop lane stream is one dispatch
 //               unit.  Units run on the unit engine the daemon also uses
-//               (engine.h), claimed FIFO by `jobs` workers, and are
-//               journaled member by member when they complete.
+//               (engine.h), claimed FIFO by `jobs` workers, and each
+//               member is committed to the ledger when its unit completes.
 //
 //   determinism the journal is completion-ordered (a durability log, not
 //               the artifact); the final result and health streams are
@@ -55,33 +56,22 @@ struct CampaignConfig {
   bool resume = false;
   /// Worker threads; 0 resolves DDL_THREADS / hardware concurrency.
   std::size_t jobs = 0;
-  /// Watchdog deadline per attempt in wall milliseconds; 0 derives a
-  /// generous per-spec default from the period count (auto_timeout_ms).
-  std::uint64_t timeout_ms = 0;
-  /// Extra attempts granted to a timed-out (transiently failed) scenario.
-  int max_retries = 1;
-  /// First retry backoff; doubles on every further retry.
-  std::uint64_t backoff_base_ms = 50;
   /// Optional graceful-stop flag (SIGTERM/SIGINT): when it reads true, the
   /// campaign stops *starting* dispatch units (the unit engine's stop
   /// rule).  In-flight units finish and are journaled normally, so the
   /// journal stays resumable and non-torn; the scenarios of unstarted
   /// units are counted in CampaignOutcome::skipped.
   const std::atomic<bool>* stop = nullptr;
-  /// RLIMIT_AS / RLIMIT_CPU caps applied inside sandbox workers.
-  SandboxLimits limits;
-
-  /// The isolation slice of this config, as the sandbox executor consumes
-  /// it.
-  IsolationConfig isolation() const noexcept {
-    return IsolationConfig{timeout_ms, max_retries, backoff_base_ms, limits};
-  }
+  /// Watchdog deadline, retries, backoff and RLIMIT caps of every sandbox
+  /// attempt (shared with the daemon's ServiceConfig).
+  IsolationConfig isolation;
 };
 
 /// Everything a campaign run produces.  `result_lines` (spec order, no
 /// trailing newline) is the canonical byte-stable stream; `results` backs
-/// summarize() -- entries for resumed scenarios are reconstructed from
-/// their journal lines (verdict fields only, metrics left zero).
+/// summarize() -- every entry is reconstructed from its result line
+/// (verdict fields only: metrics and health events stay empty, and the
+/// health events are `health_jsonl`).
 struct CampaignOutcome {
   std::vector<ScenarioResult> results;
   std::vector<std::string> result_lines;

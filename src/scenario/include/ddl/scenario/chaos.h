@@ -84,4 +84,10 @@ struct ReplayOutcome {
 
 ReplayOutcome replay(const ReplayBundle& bundle);
 
+/// The replay rule, shared by replay() and the daemon's replay jobs: a run
+/// reproduces an expected failure_reason by failing with exactly it, and
+/// an empty expectation by passing.
+bool reproduces(const ScenarioResult& result,
+                const std::string& expected_failure_reason);
+
 }  // namespace ddl::scenario

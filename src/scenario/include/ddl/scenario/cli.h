@@ -71,4 +71,29 @@ bool parse_u64(const std::string& text, std::uint64_t& out);
 /// Strict non-negative int parse, for count-like flags.
 bool parse_count(const std::string& text, int& out);
 
+/// The one flag walker of the command-line tools (runner, server, client,
+/// chaos proxy): next() steps to the next flag; value() and u64() consume
+/// the value that follows it.  The first problem is written to `error`,
+/// which ends the walk.
+class FlagReader {
+ public:
+  FlagReader(const std::vector<std::string>& args, std::string& error)
+      : args_(args), error_(error) {}
+
+  /// The next flag; null at the end of the arguments or once `error` is
+  /// set.
+  const std::string* next();
+  /// The current flag's value; null, with `error` set, when it is missing.
+  const std::string* value();
+  /// value() as a strict unsigned integer (parse_u64); `out` is left as it
+  /// was when the value is missing or malformed.
+  void u64(std::uint64_t& out);
+
+ private:
+  const std::vector<std::string>& args_;
+  std::string& error_;
+  std::size_t next_ = 0;  ///< Index of the next unread argument.
+  std::size_t flag_ = 0;  ///< Index of the current flag.
+};
+
 }  // namespace ddl::scenario

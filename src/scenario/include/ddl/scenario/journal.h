@@ -1,6 +1,6 @@
-// Write-ahead scenario journal, factored out of the Campaign engine so the
-// campaign service daemon (ddl::service) shares the exact same durability
-// story as the one-shot runner.
+// The job ledger: one job's rows and their write-ahead journal, shared by
+// the Campaign and the campaign service daemon (ddl::service), so both
+// keep the same rows, counts and durability story.
 //
 // Layout of a journal directory (journal format 3):
 //
@@ -10,7 +10,7 @@
 //   manifest.json   spec fingerprint, scenario count and `"journal": 3`;
 //                   written once, when the journal is created.
 //
-// resume_journal() cuts the file back to the end of its last result line:
+// A resuming ledger cuts the file back to the end of its last result line:
 // a torn tail and the health lines of an uncommitted record go by the same
 // rule, so appends resume on a record boundary.  Journaled lines are
 // byte-reused on resume, so a resumed stream is byte-identical to an
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "ddl/scenario/runner.h"
+#include "ddl/scenario/sandbox.h"
 
 namespace ddl::scenario {
 
@@ -64,37 +65,6 @@ std::string fingerprint_of(const std::vector<ScenarioSpec>& specs);
 /// iff every field of every spec matches, not just the names.
 std::string content_fingerprint_of(const std::vector<ScenarioSpec>& specs);
 
-/// What a resumed campaign restores from a journal directory.
-struct JournalState {
-  /// Scenario name -> its exact journaled result line (byte-reused).
-  std::map<std::string, std::string> lines;
-  /// Scenario name -> its journaled health-event lines, in event order.
-  std::map<std::string, std::vector<std::string>> health;
-};
-
-/// The one resume path of the campaign and the daemon.  Throws
-/// std::runtime_error unless `dir` holds a format-3 manifest matching the
-/// fingerprint and scenario count (a different campaign, or a format-2
-/// directory, is refused).  Loads every committed record, then truncates
-/// journal.jsonl to the end of the last result line so appends resume on a
-/// record boundary.
-JournalState resume_journal(const std::string& dir,
-                            const std::string& fingerprint,
-                            std::size_t scenarios);
-
-/// A JournalState laid out by spec index: the one place the campaign and
-/// the daemon turn committed records into rows.
-struct RestoredRows {
-  std::vector<std::string> lines;  ///< Result line by index; "" = pending.
-  std::vector<std::vector<std::string>> health;  ///< Health lines by index.
-  std::vector<ScenarioResult> results;  ///< reconstruct_result of each line.
-  std::size_t restored = 0;  ///< Indices with a committed record.
-  std::size_t passed = 0;    ///< Restored rows whose verdict is "pass".
-};
-
-RestoredRows restore_rows(const JournalState& state,
-                          const std::vector<ScenarioSpec>& specs);
-
 /// Rebuilds the verdict-bearing slice of a ScenarioResult from a journaled
 /// line's parsed fields, enough for summarize() and exit-code accounting;
 /// metrics and the typed architecture/corner stay default (the line itself
@@ -102,29 +72,60 @@ RestoredRows restore_rows(const JournalState& state,
 ScenarioResult reconstruct_result(
     const std::map<std::string, std::string>& fields);
 
-/// Append-side of the journal: one commit record (health lines, then the
-/// result line) per record() call, as one locked append.
-class JournalWriter {
+/// One job's rows and their journal: the spec list, and by spec index the
+/// result line, health lines and verdict of every committed scenario.  The
+/// Campaign and the daemon's jobs each hold one; what happens to a row
+/// after a worker returns it is written here once.
+class JobLedger {
  public:
-  /// Opens journal.jsonl for appending (append=true, after
-  /// resume_journal) or creates the journal: truncates journal.jsonl and
-  /// writes the manifest.  Throws std::runtime_error when the directory is
-  /// not writable.
-  JournalWriter(const std::string& dir, const std::string& fingerprint,
-                std::size_t scenarios, bool append);
-  ~JournalWriter();
+  /// Spec names must be unique, as the journal is keyed by name (throws
+  /// std::invalid_argument otherwise).  `dir` empty keeps the rows in
+  /// memory only.  Otherwise `dir` is created on demand and, with
+  /// `resume`, its journal reloaded: std::runtime_error unless it holds a
+  /// format-3 manifest matching the spec names and count; the journal is
+  /// cut back to its last result line and every committed record restored.
+  /// Without `resume` the journal is created: journal.jsonl truncated,
+  /// then the manifest written.
+  JobLedger(std::vector<ScenarioSpec> specs, const std::string& dir,
+            bool resume);
+  ~JobLedger();
 
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
+  JobLedger(const JobLedger&) = delete;
+  JobLedger& operator=(const JobLedger&) = delete;
 
-  /// Appends one commit record; throws JournalIoError when the bytes could
-  /// not all be written, and for every record after such a failure.
-  void record(const std::string& line,
-              const std::vector<std::string>& health_lines);
+  /// Commits `index`'s row: appends its record (health lines, then the
+  /// result line) to the journal in one locked append, then keeps the row.
+  /// Safe to call from several threads at once.  Fail-closed: the first
+  /// append that fails throws JournalIoError after keeping the row; every
+  /// later commit keeps its row and appends nothing.
+  void commit(std::size_t index, ExecutedScenario row);
+
+  const std::vector<ScenarioSpec>& specs() const noexcept { return specs_; }
+  std::size_t size() const noexcept { return specs_.size(); }
+
+  /// Row accessors; not synchronized with commit() on the same index.
+  bool done(std::size_t index) const { return !lines_[index].empty(); }
+  const std::string& line(std::size_t index) const { return lines_[index]; }
+  const std::vector<std::string>& health(std::size_t index) const {
+    return health_[index];
+  }
+  /// reconstruct_result() of the committed line (default when pending).
+  ScenarioResult result(std::size_t index) const;
+
+  std::size_t restored() const noexcept { return restored_; }
+  std::size_t completed() const noexcept { return completed_; }
+  std::size_t passed() const noexcept { return passed_; }
 
  private:
-  std::mutex mutex_;
-  int fd_ = -1;
+  const std::vector<ScenarioSpec> specs_;
+  std::vector<std::string> lines_;  ///< Result line by index; "" = pending.
+  std::vector<std::vector<std::string>> health_;
+  std::size_t restored_ = 0;   ///< Rows reloaded from the journal.
+  std::size_t completed_ = 0;  ///< Restored plus committed.
+  std::size_t passed_ = 0;     ///< Completed rows whose verdict is "pass".
+
+  std::mutex mutex_;      ///< Serializes commit().
+  int fd_ = -1;           ///< journal.jsonl; -1 = memory only.
   int failed_errno_ = 0;  ///< errno of the first failed append, else 0.
 };
 

@@ -1,10 +1,6 @@
 #include "ddl/scenario/campaign.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <memory>
-#include <set>
-#include <stdexcept>
 #include <utility>
 
 #include "ddl/analysis/parallel.h"
@@ -28,42 +24,14 @@ std::string CampaignOutcome::jsonl() const {
 }
 
 CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
-  {
-    std::set<std::string> names;
-    for (const ScenarioSpec& spec : specs) {
-      if (!names.insert(spec.name).second) {
-        throw std::invalid_argument(
-            "campaign: duplicate scenario name '" + spec.name +
-            "' (the journal is keyed by name)");
-      }
-    }
-  }
-
-  const std::string fingerprint = fingerprint_of(specs);
-  JournalState prior;
-  std::unique_ptr<JournalWriter> writer;
-  if (!config_.journal_dir.empty()) {
-    std::filesystem::create_directories(config_.journal_dir);
-    if (config_.resume) {
-      prior = resume_journal(config_.journal_dir, fingerprint, specs.size());
-    }
-    writer = std::make_unique<JournalWriter>(
-        config_.journal_dir, fingerprint, specs.size(),
-        /*append=*/config_.resume);
-  }
-
-  RestoredRows rows = restore_rows(prior, specs);
-  CampaignOutcome outcome;
-  outcome.resumed = rows.restored;
-  outcome.results = std::move(rows.results);
-  outcome.result_lines = std::move(rows.lines);
+  JobLedger ledger(specs, config_.journal_dir, config_.resume);
 
   // Plan the pending specs into dispatch units (a resume regroups what is
   // left): batch groups run as one unit each, in one sandbox worker.
   std::vector<std::size_t> pending;
   std::vector<ScenarioSpec> pending_specs;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (outcome.result_lines[i].empty()) {
+    if (!ledger.done(i)) {
       pending.push_back(i);
       pending_specs.push_back(specs[i]);
     }
@@ -74,21 +42,15 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
     units = dispatch_units(plan_batches(pending_specs, planner_workspace));
   }
 
-  // Workers journal each unit as it completes (a completion-ordered
-  // durability log) and fill its members' distinct slots.
+  // Workers commit each unit's members as it completes (the journal is a
+  // completion-ordered durability log).
   const std::size_t jobs =
       config_.jobs ? config_.jobs : analysis::default_thread_count();
   UnitEngine engine(
-      std::min(jobs, units.size()), config_.isolation(),
+      std::min(jobs, units.size()), config_.isolation,
       [&](const DispatchUnit& unit, std::vector<ExecutedScenario> runs) {
         for (std::size_t k = 0; k < runs.size(); ++k) {
-          const std::size_t index = unit.indices[k];
-          if (writer) {
-            writer->record(runs[k].line, runs[k].health_lines);
-          }
-          outcome.result_lines[index] = std::move(runs[k].line);
-          rows.health[index] = std::move(runs[k].health_lines);
-          outcome.results[index] = std::move(runs[k].result);
+          ledger.commit(unit.indices[k], std::move(runs[k]));
         }
       },
       config_.stop);
@@ -101,15 +63,21 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
     engine.submit(std::move(dispatch));
   }
   engine.wait();
+
+  CampaignOutcome outcome;
   for (const DispatchUnit& unit : engine.stop()) {
     outcome.skipped += unit.specs.size();
   }
-
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    outcome.results.push_back(ledger.result(i));
+    outcome.result_lines.push_back(ledger.line(i));
+    for (const std::string& line : ledger.health(i)) {
+      outcome.health_jsonl += line;
+      outcome.health_jsonl += '\n';
+    }
+  }
   for (const std::size_t index : pending) {
     const ScenarioResult& result = outcome.results[index];
-    if (outcome.result_lines[index].empty()) {
-      continue;  // Skipped by a graceful stop.
-    }
     if (result.error == ScenarioError::kTimeout) {
       ++outcome.timeouts;
     } else if (result.error == ScenarioError::kException) {
@@ -120,14 +88,9 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
     if (result.attempts > 1) {
       ++outcome.retried;
     }
-    ++outcome.executed;
   }
-  for (const std::vector<std::string>& lines : rows.health) {
-    for (const std::string& line : lines) {
-      outcome.health_jsonl += line;
-      outcome.health_jsonl += '\n';
-    }
-  }
+  outcome.resumed = ledger.restored();
+  outcome.executed = ledger.completed() - ledger.restored();
   const SandboxCounters& counters = engine.counters();
   outcome.sandbox_crashes = counters.crashes.load();
   outcome.workers_respawned = counters.respawns.load();

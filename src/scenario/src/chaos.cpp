@@ -212,10 +212,15 @@ ReplayOutcome replay(const ReplayBundle& bundle) {
   ReplayOutcome outcome;
   outcome.result = run_scenario_guarded(bundle.spec).result;
   outcome.reproduced =
-      bundle.expected_failure_reason.empty()
-          ? outcome.result.pass
-          : outcome.result.failure_reason == bundle.expected_failure_reason;
+      reproduces(outcome.result, bundle.expected_failure_reason);
   return outcome;
+}
+
+bool reproduces(const ScenarioResult& result,
+                const std::string& expected_failure_reason) {
+  return expected_failure_reason.empty()
+             ? result.pass
+             : result.failure_reason == expected_failure_reason;
 }
 
 }  // namespace ddl::scenario

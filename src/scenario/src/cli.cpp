@@ -33,6 +33,29 @@ bool parse_count(const std::string& text, int& out) {
   return true;
 }
 
+const std::string* FlagReader::next() {
+  if (!error_.empty() || next_ >= args_.size()) {
+    return nullptr;
+  }
+  flag_ = next_++;
+  return &args_[flag_];
+}
+
+const std::string* FlagReader::value() {
+  if (next_ >= args_.size()) {
+    error_ = args_[flag_] + " needs a value";
+    return nullptr;
+  }
+  return &args_[next_++];
+}
+
+void FlagReader::u64(std::uint64_t& out) {
+  const std::string* text = value();
+  if (text != nullptr && !parse_u64(*text, out)) {
+    error_ = args_[flag_] + ": '" + *text + "' is not an unsigned integer";
+  }
+}
+
 std::string runner_usage() {
   return
       "usage: ddl_scenario_runner [--suite NAME] [--filter SUBSTR]\n"
@@ -85,49 +108,31 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
   ParsedArgs parsed;
   RunnerOptions& options = parsed.options;
 
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    // One lookahead for flags that take a value; sets `error` when the
-    // value is missing so every flag below can bail uniformly.
-    const auto value = [&]() -> const std::string* {
-      if (i + 1 >= args.size()) {
-        parsed.error = arg + " needs a value";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const auto number = [&](std::uint64_t& out) {
-      const std::string* text = value();
-      if (text == nullptr) {
-        return;
-      }
-      if (!parse_u64(*text, out)) {
-        parsed.error = arg + ": '" + *text + "' is not a non-negative integer";
-      }
-    };
-
+  FlagReader flags(args, parsed.error);
+  while (const std::string* flag = flags.next()) {
+    const std::string& arg = *flag;
     if (arg == "--suite") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         options.suite = *v;
       }
     } else if (arg == "--filter") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         options.filter = *v;
       }
     } else if (arg == "--jobs") {
       std::uint64_t jobs = 0;
-      number(jobs);
+      flags.u64(jobs);
       options.jobs = static_cast<std::size_t>(jobs);
     } else if (arg == "--out") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         options.out_path = *v;
       }
     } else if (arg == "--health-out") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         options.health_out_path = *v;
       }
     } else if (arg == "--journal") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         if (options.resume && options.journal_dir != *v) {
           parsed.error = "--resume and --journal name different directories";
         } else {
@@ -135,7 +140,7 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
         }
       }
     } else if (arg == "--resume") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         if (!options.journal_dir.empty() && options.journal_dir != *v) {
           parsed.error = "--resume and --journal name different directories";
         } else {
@@ -144,30 +149,30 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
         }
       }
     } else if (arg == "--timeout-ms") {
-      number(options.timeout_ms);
+      flags.u64(options.timeout_ms);
       if (parsed.error.empty() && options.timeout_ms == 0) {
         parsed.error = "--timeout-ms must be positive";
       }
     } else if (arg == "--retries") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         if (!parse_count(*v, options.retries)) {
           parsed.error = arg + ": '" + *v + "' is not a non-negative integer";
         }
       }
     } else if (arg == "--backoff-ms") {
-      number(options.backoff_ms);
+      flags.u64(options.backoff_ms);
     } else if (arg == "--chaos") {
       std::uint64_t storms = 0;
-      number(storms);
+      flags.u64(storms);
       if (parsed.error.empty() && storms == 0) {
         parsed.error = "--chaos needs at least one storm";
       }
       options.chaos_storms = static_cast<std::size_t>(storms);
     } else if (arg == "--chaos-seed") {
-      number(options.chaos_seed);
+      flags.u64(options.chaos_seed);
     } else if (arg == "--chaos-max-faults") {
       std::uint64_t max_faults = 0;
-      number(max_faults);
+      flags.u64(max_faults);
       if (parsed.error.empty() && max_faults == 0) {
         parsed.error = "--chaos-max-faults must be positive";
       }
@@ -175,26 +180,26 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
     } else if (arg == "--shrink") {
       options.shrink = true;
     } else if (arg == "--replay") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         options.replay_path = *v;
       }
     } else if (arg == "--inject-hang") {
-      number(options.inject_hang_ms);
+      flags.u64(options.inject_hang_ms);
       if (parsed.error.empty() && options.inject_hang_ms == 0) {
         parsed.error = "--inject-hang must be positive";
       }
     } else if (arg == "--mem-limit-mb") {
-      number(options.mem_limit_mb);
+      flags.u64(options.mem_limit_mb);
       if (parsed.error.empty() && options.mem_limit_mb == 0) {
         parsed.error = "--mem-limit-mb must be positive";
       }
     } else if (arg == "--cpu-limit-s") {
-      number(options.cpu_limit_s);
+      flags.u64(options.cpu_limit_s);
       if (parsed.error.empty() && options.cpu_limit_s == 0) {
         parsed.error = "--cpu-limit-s must be positive";
       }
     } else if (arg == "--inject-crash") {
-      if (const std::string* v = value()) {
+      if (const std::string* v = flags.value()) {
         const std::size_t at = v->find('@');
         options.inject_crash_kind = v->substr(0, at);
         options.inject_crash_match =
@@ -214,9 +219,9 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
     } else {
       parsed.error = "unknown option '" + arg + "'";
     }
-    if (!parsed.error.empty()) {
-      return parsed;
-    }
+  }
+  if (!parsed.ok()) {
+    return parsed;
   }
 
   if (options.resume && options.journal_dir.empty()) {

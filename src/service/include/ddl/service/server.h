@@ -3,11 +3,12 @@
 // framed protocol (protocol.h), schedules them onto a sandboxed worker
 // pool, and streams result / health / progress frames back.
 //
-// Durability is the campaign's journal (scenario/journal.h), per job: every
-// accepted job gets `state_dir/jobs/<job_id>/` holding its spec list, its
-// journal (one commit record per scenario) and a manifest written once.  A
-// restarted server rescans that tree and reloads each job through the
-// same resume_journal() as a campaign `--resume` (a journaled directory it
+// Every job's rows live in a scenario::JobLedger (scenario/journal.h), the
+// one a Campaign runs on, so durability is the campaign's journal, per job:
+// every accepted job gets `state_dir/jobs/<job_id>/` holding its spec list,
+// its journal (one commit record per scenario) and a manifest written once.
+// A restarted server rescans that tree and reloads each job's ledger the
+// way a campaign `--resume` reloads its own (a journaled directory it
 // cannot reload, a format-2 one included, stays on disk untouched, and a
 // resubmit of its job gets a final `job_unrecoverable` error; one cut short
 // before its manifest was never accepted and is created over).  It resumes
@@ -43,12 +44,13 @@
 // starving the loop.  Every violation is structured error accounting
 // (ServiceStats), never a crash and never an unbounded buffer.
 //
-// Threading: one event-loop thread owns every session, job and journal
-// writer (poll over the listeners, client sockets and a self-pipe).  Units
-// run on the same scenario::UnitEngine as a Campaign (scenario/engine.h):
-// `workers` threads, each owning a fork()ed sandbox worker whose crash or
+// Threading: one event-loop thread owns every session and job (poll over
+// the listeners, client sockets and a self-pipe).  Units run on the same
+// scenario::UnitEngine as a Campaign (scenario/engine.h): `workers`
+// threads, each owning a fork()ed sandbox worker whose crash or
 // resource-limit death becomes a structured error row and whose process
-// group a cancel kills.  Finished units come back through the self-pipe.
+// group a cancel kills.  Finished units come back through the self-pipe,
+// and the event loop commits their rows to the job's ledger.
 // `request_stop()` is async-signal-safe (atomic store + pipe write), so a
 // SIGTERM handler can trigger the graceful shutdown: the engine's stop --
 // claim nothing more, let in-flight units finish and journal -- then

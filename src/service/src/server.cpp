@@ -95,22 +95,21 @@ struct Completion {
   std::vector<scenario::ExecutedScenario> rows;
 };
 
-enum class SpecState : unsigned char { kPending, kInflight, kDone };
-
 struct Job {
+  /// Opens the job's ledger (scenario::JobLedger: `dir` empty keeps it in
+  /// memory; `resume` reloads its journal, else creates it).
+  Job(std::vector<ScenarioSpec> specs, const std::string& dir, bool resume)
+      : ledger(std::move(specs), dir, resume), dispatched(ledger.size()) {}
+
   std::string id;
   std::string tag;
   std::string owner;  ///< Client name (job identity includes it).
-  std::vector<ScenarioSpec> specs;
-  std::string name_fingerprint;     ///< journal fingerprint (spec names)
   std::string content_fingerprint;  ///< job identity (every spec field)
-  std::vector<SpecState> state;
-  std::vector<std::string> result_lines;  ///< By index; "" until done.
-  std::vector<std::vector<std::string>> health_lines;
-  std::size_t completed = 0;  ///< Resumed, plus run by this process.
-  std::size_t resumed = 0;    ///< Restored from the journal on recovery.
-  std::size_t passed = 0;  ///< Of the completed; the rest failed.
-  std::unique_ptr<scenario::JournalWriter> journal;
+  /// Specs, committed rows and their journal.
+  scenario::JobLedger ledger;
+  /// By index: queued or running on a worker.  Pending = neither this nor
+  /// ledger.done().
+  std::vector<bool> dispatched;
   int session_fd = -1;  ///< Attached session; -1 = orphan.
   bool cancelled = false;  ///< Cooperative teardown requested (durable).
   bool is_replay = false;  ///< Born from a submit_replay frame.
@@ -120,7 +119,7 @@ struct Job {
   /// once none is left.
   std::size_t inflight = 0;
 
-  bool done() const noexcept { return completed == specs.size(); }
+  bool done() const noexcept { return ledger.completed() == ledger.size(); }
 };
 
 /// Per-client-name scheduling state.  Slots persist across sessions (a
@@ -311,21 +310,11 @@ struct ScenarioServer::Impl {
   Job& create_job(const std::string& tag, const std::string& owner,
                   std::vector<ScenarioSpec> specs, bool is_replay,
                   const std::string& expected_failure_reason) {
-    Job job;
-    job.tag = tag;
-    job.owner = owner;
-    job.is_replay = is_replay;
-    job.expected_failure_reason = expected_failure_reason;
-    job.name_fingerprint = scenario::fingerprint_of(specs);
-    job.content_fingerprint = scenario::content_fingerprint_of(specs);
-    job.id = job_id_of(owner, tag, job.content_fingerprint);
-    job.state.assign(specs.size(), SpecState::kPending);
-    job.result_lines.assign(specs.size(), std::string());
-    job.health_lines.assign(specs.size(), {});
-    job.specs = std::move(specs);
-
+    const std::string fingerprint = scenario::content_fingerprint_of(specs);
+    const std::string id = job_id_of(owner, tag, fingerprint);
+    std::string dir;
     if (!config.state_dir.empty()) {
-      const std::string dir = job_dir(job.id);
+      dir = job_dir(id);
       // Clears what a create cut short before its manifest left behind;
       // admit() refuses every directory that has one.
       fs::remove_all(dir);
@@ -333,17 +322,17 @@ struct ScenarioServer::Impl {
       analysis::JsonObject meta;
       meta.set("schema_version", analysis::kBenchJsonSchemaVersion);
       meta.set("record", "service_job");
-      meta.set("job_id", job.id);
-      meta.set("client", job.owner);
-      meta.set("tag", job.tag);
-      meta.set("scenarios", static_cast<std::uint64_t>(job.specs.size()));
-      meta.set("fingerprint", job.content_fingerprint);
-      if (job.is_replay) {
+      meta.set("job_id", id);
+      meta.set("client", owner);
+      meta.set("tag", tag);
+      meta.set("scenarios", static_cast<std::uint64_t>(specs.size()));
+      meta.set("fingerprint", fingerprint);
+      if (is_replay) {
         meta.set("replay", true);
-        meta.set("expected_failure_reason", job.expected_failure_reason);
+        meta.set("expected_failure_reason", expected_failure_reason);
       }
       std::string spec_lines;
-      for (const ScenarioSpec& spec : job.specs) {
+      for (const ScenarioSpec& spec : specs) {
         spec_lines += scenario::spec_to_json(spec).to_json_line();
         spec_lines += "\n";
       }
@@ -352,36 +341,40 @@ struct ScenarioServer::Impl {
       // after the accept.
       analysis::write_file_atomic(dir + "/specs.jsonl", spec_lines);
       analysis::write_file_atomic(dir + "/job.json", meta.to_json_line() + "\n");
-      job.journal = std::make_unique<scenario::JournalWriter>(
-          dir, job.name_fingerprint, job.specs.size(), /*append=*/false);
     }
 
-    const std::string id = job.id;
-    Job& stored = jobs.emplace(id, std::move(job)).first->second;
+    Job& job = jobs.try_emplace(id, std::move(specs), dir, /*resume=*/false)
+                   .first->second;
+    job.id = id;
+    job.tag = tag;
+    job.owner = owner;
+    job.content_fingerprint = fingerprint;
+    job.is_replay = is_replay;
+    job.expected_failure_reason = expected_failure_reason;
     slot_of(owner).jobs.push_back(id);
     set_active_jobs_delta(+1);
     bump(&ServiceStats::jobs_accepted);
-    if (stored.is_replay) {
+    if (is_replay) {
       bump(&ServiceStats::replay_jobs);
     }
-    return stored;
+    return job;
   }
 
   void send_accepted(Session& session, const Job& job, bool resumed) {
     analysis::JsonObject frame = make_frame("accepted");
     frame.set("job", job.tag);
     frame.set("job_id", job.id);
-    frame.set("scenarios", static_cast<std::uint64_t>(job.specs.size()));
+    frame.set("scenarios", static_cast<std::uint64_t>(job.ledger.size()));
     frame.set("fingerprint", job.content_fingerprint);
     frame.set("resumed", resumed);
-    frame.set("completed", static_cast<std::uint64_t>(job.completed));
+    frame.set("completed", static_cast<std::uint64_t>(job.ledger.completed()));
     send_frame(session, frame);
   }
 
   void send_result_frames(Session& session, const Job& job,
                           std::size_t index) {
     std::size_t seq = 0;
-    for (const std::string& line : job.health_lines[index]) {
+    for (const std::string& line : job.ledger.health(index)) {
       analysis::JsonObject frame = make_frame("health");
       frame.set("job_id", job.id);
       frame.set("index", static_cast<std::uint64_t>(index));
@@ -392,50 +385,37 @@ struct ScenarioServer::Impl {
     analysis::JsonObject frame = make_frame("result");
     frame.set("job_id", job.id);
     frame.set("index", static_cast<std::uint64_t>(index));
-    frame.set("row", job.result_lines[index]);
+    frame.set("row", job.ledger.line(index));
     send_frame(session, frame);
   }
 
   void send_progress(Session& session, const Job& job) {
     analysis::JsonObject frame = make_frame("progress");
     frame.set("job_id", job.id);
-    frame.set("completed", static_cast<std::uint64_t>(job.completed));
-    frame.set("total", static_cast<std::uint64_t>(job.specs.size()));
+    frame.set("completed", static_cast<std::uint64_t>(job.ledger.completed()));
+    frame.set("total", static_cast<std::uint64_t>(job.ledger.size()));
     send_frame(session, frame);
-  }
-
-  /// True when a completed replay job reproduced its expected verdict:
-  /// the single scenario's failure_reason matches the bundle's
-  /// expectation (or, with an empty expectation, the scenario passed) --
-  /// mirrors scenario::replay().
-  bool replay_reproduced(const Job& job) const {
-    if (job.result_lines.empty() || job.result_lines[0].empty()) {
-      return false;
-    }
-    const auto fields = analysis::parse_flat_json_line(job.result_lines[0]);
-    if (!fields) {
-      return false;
-    }
-    if (job.expected_failure_reason.empty()) {
-      return fields->count("verdict") && fields->at("verdict") == "pass";
-    }
-    return fields->count("failure_reason") &&
-           fields->at("failure_reason") == job.expected_failure_reason;
   }
 
   void send_job_done(Session& session, const Job& job) {
     analysis::JsonObject frame = make_frame("job_done");
     frame.set("job_id", job.id);
     frame.set("job", job.tag);
-    frame.set("scenarios", static_cast<std::uint64_t>(job.specs.size()));
-    frame.set("passed", static_cast<std::uint64_t>(job.passed));
-    frame.set("failed", static_cast<std::uint64_t>(job.completed - job.passed));
-    frame.set("executed",
-              static_cast<std::uint64_t>(job.completed - job.resumed));
-    frame.set("resumed", static_cast<std::uint64_t>(job.resumed));
+    const scenario::JobLedger& ledger = job.ledger;
+    frame.set("scenarios", static_cast<std::uint64_t>(ledger.size()));
+    frame.set("passed", static_cast<std::uint64_t>(ledger.passed()));
+    frame.set("failed",
+              static_cast<std::uint64_t>(ledger.completed() - ledger.passed()));
+    frame.set("executed", static_cast<std::uint64_t>(ledger.completed() -
+                                                     ledger.restored()));
+    frame.set("resumed", static_cast<std::uint64_t>(ledger.restored()));
     if (job.is_replay) {
+      // A replay job's one scenario, judged as `ddl_scenario_runner
+      // --replay` judges it.
       frame.set("replay", true);
-      frame.set("reproduced", replay_reproduced(job));
+      frame.set("reproduced", scenario::reproduces(
+                                  ledger.result(0),
+                                  job.expected_failure_reason));
     }
     send_frame(session, frame);
   }
@@ -444,8 +424,8 @@ struct ScenarioServer::Impl {
     analysis::JsonObject frame = make_frame("cancelled");
     frame.set("job_id", job.id);
     frame.set("job", job.tag);
-    frame.set("completed", static_cast<std::uint64_t>(job.completed));
-    frame.set("total", static_cast<std::uint64_t>(job.specs.size()));
+    frame.set("completed", static_cast<std::uint64_t>(job.ledger.completed()));
+    frame.set("total", static_cast<std::uint64_t>(job.ledger.size()));
     send_frame(session, frame);
   }
 
@@ -454,8 +434,8 @@ struct ScenarioServer::Impl {
   void attach_and_replay(Session& session, Job& job) {
     job.session_fd = session.fd;
     send_accepted(session, job, /*resumed=*/true);
-    for (std::size_t i = 0; i < job.specs.size(); ++i) {
-      if (job.state[i] == SpecState::kDone) {
+    for (std::size_t i = 0; i < job.ledger.size(); ++i) {
+      if (job.ledger.done(i)) {
         send_result_frames(session, job, i);
       }
     }
@@ -481,8 +461,12 @@ struct ScenarioServer::Impl {
       if (job.cancelled) {
         continue;  // Pending specs of a cancelled job never dispatch.
       }
-      for (std::size_t i = 0; i < job.specs.size(); ++i) {
-        if (job.state[i] != SpecState::kPending) {
+      const std::vector<ScenarioSpec>& specs = job.ledger.specs();
+      const auto pending = [&job](std::size_t i) {
+        return !job.dispatched[i] && !job.ledger.done(i);
+      };
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (!pending(i)) {
           continue;
         }
         // Coalesce: when the claimed scenario is batch-eligible (MC
@@ -496,28 +480,28 @@ struct ScenarioServer::Impl {
         // fairness is unchanged.
         bool (*eligible)(const scenario::ScenarioSpec&,
                          scenario::ScenarioWorkspace&) = nullptr;
-        if (scenario::batch_eligible(job.specs[i], plan_workspace)) {
+        if (scenario::batch_eligible(specs[i], plan_workspace)) {
           eligible = &scenario::batch_eligible;
-        } else if (scenario::lane_eligible(job.specs[i], plan_workspace)) {
+        } else if (scenario::lane_eligible(specs[i], plan_workspace)) {
           eligible = &scenario::lane_eligible;
         }
         scenario::DispatchUnit unit{job.id, {}, {}};
-        for (std::size_t j = i; j < job.specs.size() &&
+        for (std::size_t j = i; j < specs.size() &&
                                 slot.inflight < config.max_inflight_per_client;
              ++j) {
-          if (job.state[j] != SpecState::kPending) {
+          if (!pending(j)) {
             continue;
           }
-          if (j > i && (eligible == nullptr ||
-                        !eligible(job.specs[j], plan_workspace))) {
+          if (j > i &&
+              (eligible == nullptr || !eligible(specs[j], plan_workspace))) {
             break;
           }
-          job.state[j] = SpecState::kInflight;
+          job.dispatched[j] = true;
           job.inflight++;
           slot.inflight++;
           note_dispatch(slot.name);
           unit.indices.push_back(j);
-          unit.specs.push_back(job.specs[j]);
+          unit.specs.push_back(specs[j]);
         }
         if (unit.specs.size() > 1) {
           bump(&ServiceStats::batched_units);
@@ -552,7 +536,7 @@ struct ScenarioServer::Impl {
     Job& job = jobs.at(unit.job);
     ClientSlot& slot = slot_of(job.owner);
     for (const std::size_t index : unit.indices) {
-      job.state[index] = SpecState::kPending;
+      job.dispatched[index] = false;
       job.inflight--;
       if (slot.inflight > 0) {
         slot.inflight--;
@@ -568,26 +552,16 @@ struct ScenarioServer::Impl {
     release(done.unit);
     for (std::size_t k = 0; k < done.rows.size(); ++k) {
       const std::size_t index = done.unit.indices[k];
-      job.result_lines[index] = std::move(done.rows[k].line);
-      job.health_lines[index] = std::move(done.rows[k].health_lines);
-      job.state[index] = SpecState::kDone;
-      job.completed++;
-      job.passed += done.rows[k].result.pass ? 1 : 0;
-      if (job.journal) {
-        try {
-          job.journal->record(job.result_lines[index],
-                              job.health_lines[index]);
-        } catch (const scenario::JournalIoError& e) {
-          // Disk fault (ENOSPC/EIO): drop the job's durability fail-closed
-          // -- no torn-commit ambiguity on a later resume -- and tell the
-          // client.  The job keeps executing in memory.
-          job.journal.reset();
-          bump(&ServiceStats::journal_io_errors);
-          auto error_session = sessions.find(job.session_fd);
-          if (error_session != sessions.end()) {
-            send_error(error_session->second, "journal_io", e.what(),
-                       job.tag);
-          }
+      try {
+        job.ledger.commit(index, std::move(done.rows[k]));
+      } catch (const scenario::JournalIoError& e) {
+        // Disk fault (ENOSPC/EIO): the ledger stops journaling the job
+        // fail-closed -- no torn-commit ambiguity on a later resume -- and
+        // keeps its rows in memory; tell the client once.
+        bump(&ServiceStats::journal_io_errors);
+        auto error_session = sessions.find(job.session_fd);
+        if (error_session != sessions.end()) {
+          send_error(error_session->second, "journal_io", e.what(), job.tag);
         }
       }
       bump(&ServiceStats::scenarios_executed);
@@ -637,7 +611,7 @@ struct ScenarioServer::Impl {
     marker.set("schema_version", analysis::kBenchJsonSchemaVersion);
     marker.set("record", "job_cancelled");
     marker.set("job_id", job.id);
-    marker.set("completed", static_cast<std::uint64_t>(job.completed));
+    marker.set("completed", static_cast<std::uint64_t>(job.ledger.completed()));
     try {
       analysis::write_file_atomic(job_dir(job.id) + "/cancelled.json",
                                   marker.to_json_line() + "\n");
@@ -1218,24 +1192,18 @@ struct ScenarioServer::Impl {
     if (!meta_fields) {
       throw std::runtime_error("unreadable job.json");
     }
-    Job job;
-    job.id = meta_fields->count("job_id") ? meta_fields->at("job_id") : "";
-    job.tag = meta_fields->count("tag") ? meta_fields->at("tag") : "";
-    job.owner = meta_fields->count("client") ? meta_fields->at("client") : "";
-    job.is_replay = meta_fields->count("replay") &&
-                    meta_fields->at("replay") == "true";
-    if (meta_fields->count("expected_failure_reason")) {
-      job.expected_failure_reason =
-          meta_fields->at("expected_failure_reason");
-    }
-    // A durable cancel marker outranks everything else in the directory:
-    // the job loads (committed rows stay replayable) but never reschedules.
-    std::error_code marker_ec;
-    job.cancelled = fs::exists(dir + "/cancelled.json", marker_ec);
-    if (job.id.empty() || job.owner.empty() || jobs.count(job.id)) {
+    const auto meta = [&](const char* key) {
+      const auto it = meta_fields->find(key);
+      return it == meta_fields->end() ? std::string() : it->second;
+    };
+    const std::string id = meta("job_id");
+    const std::string tag = meta("tag");
+    const std::string owner = meta("client");
+    if (id.empty() || owner.empty() || jobs.count(id)) {
       throw std::runtime_error("bad or duplicate job identity");
     }
 
+    std::vector<ScenarioSpec> specs;
     const std::string spec_doc = scenario::read_file(dir + "/specs.jsonl");
     std::size_t begin = 0;
     while (begin < spec_doc.size()) {
@@ -1256,43 +1224,34 @@ struct ScenarioServer::Impl {
       if (!parsed.ok()) {
         throw std::runtime_error("specs.jsonl: " + parsed.errors.front());
       }
-      job.specs.push_back(std::move(parsed.spec));
+      specs.push_back(std::move(parsed.spec));
     }
-    if (job.specs.empty()) {
+    if (specs.empty()) {
       throw std::runtime_error("empty spec list");
     }
-    job.name_fingerprint = scenario::fingerprint_of(job.specs);
-    job.content_fingerprint = scenario::content_fingerprint_of(job.specs);
-    if (job.id != job_id_of(job.owner, job.tag, job.content_fingerprint)) {
+    const std::string fingerprint = scenario::content_fingerprint_of(specs);
+    if (id != job_id_of(owner, tag, fingerprint)) {
       throw std::runtime_error("job id does not match its content");
     }
 
-    const scenario::JournalState journal = scenario::resume_journal(
-        dir, job.name_fingerprint, job.specs.size());
-
-    scenario::RestoredRows rows = scenario::restore_rows(journal, job.specs);
-    job.result_lines = std::move(rows.lines);
-    job.health_lines = std::move(rows.health);
-    for (const std::string& line : job.result_lines) {
-      job.state.push_back(line.empty() ? SpecState::kPending
-                                       : SpecState::kDone);
-    }
-    job.completed = job.resumed = rows.restored;
-    job.passed = rows.passed;
-    job.journal = std::make_unique<scenario::JournalWriter>(
-        dir, job.name_fingerprint, job.specs.size(), /*append=*/true);
-
-    const bool schedulable = !job.done() && !job.cancelled;
-    const std::string id = job.id;
-    const std::string owner = job.owner;
-    const std::size_t resumed = job.resumed;
-    jobs.emplace(id, std::move(job));
-    if (schedulable) {
+    Job& job = jobs.try_emplace(id, std::move(specs), dir, /*resume=*/true)
+                   .first->second;
+    job.id = id;
+    job.tag = tag;
+    job.owner = owner;
+    job.content_fingerprint = fingerprint;
+    job.is_replay = meta("replay") == "true";
+    job.expected_failure_reason = meta("expected_failure_reason");
+    // A durable cancel marker outranks everything else in the directory:
+    // the job loads (committed rows stay replayable) but never reschedules.
+    std::error_code marker_ec;
+    job.cancelled = fs::exists(dir + "/cancelled.json", marker_ec);
+    if (!job.done() && !job.cancelled) {
       slot_of(owner).jobs.push_back(id);
       set_active_jobs_delta(+1);
     }
     bump(&ServiceStats::jobs_recovered);
-    bump(&ServiceStats::scenarios_resumed, resumed);
+    bump(&ServiceStats::scenarios_resumed, job.ledger.restored());
   }
 
   // --- Event thread -----------------------------------------------------

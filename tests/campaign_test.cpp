@@ -1,9 +1,10 @@
 // Tests for the crash-safe campaign engine and its chaos companion:
 // journal/resume byte-identity (including torn-tail recovery), graceful
-// stop points and journal disk faults, watchdog isolation with bounded
-// retry, structured error rows, seeded storm
-// expansion, the delta-debugging shrinker, replay bundles, the flat-JSON
-// parser / atomic writer they ride on, and the runner's CLI grammar.
+// stop points and journal disk faults, the job ledger's fail-closed
+// commits, name rule and concurrent commits, watchdog isolation with
+// bounded retry, structured error rows, seeded storm expansion, the
+// delta-debugging shrinker, replay bundles, the flat-JSON parser / atomic
+// writer they ride on, and the runner's CLI grammar.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,7 +40,10 @@ using ddl::scenario::Architecture;
 using ddl::scenario::Campaign;
 using ddl::scenario::CampaignConfig;
 using ddl::scenario::ChaosCampaignSpec;
+using ddl::scenario::ExecutedScenario;
 using ddl::scenario::FaultSpec;
+using ddl::scenario::JobLedger;
+using ddl::scenario::JournalIoError;
 using ddl::scenario::LoadSpec;
 using ddl::scenario::ScenarioError;
 using ddl::scenario::ScenarioRegistry;
@@ -409,6 +413,123 @@ TEST(CampaignTest, JournalDiskFaultReachesTheCallerAsJournalIoError) {
   }
 }
 
+// ---- Job ledger -----------------------------------------------------------
+
+/// A committed row as a worker returns it: a flat-JSON result line that
+/// carries its verdict, and its health lines.
+ExecutedScenario row_of(const std::string& name, bool pass,
+                        std::vector<std::string> health = {}) {
+  ExecutedScenario row;
+  row.result.name = name;
+  row.result.pass = pass;
+  row.line = "{\"name\": \"" + name + "\", \"verdict\": \"" +
+             std::string(row.result.verdict()) + "\", \"pass\": " +
+             (pass ? "true" : "false") + "}";
+  row.health_lines = std::move(health);
+  return row;
+}
+
+TEST(JobLedgerTest, DiskFaultThrowsOnceThenKeepsRowsWithoutAppending) {
+  // /dev/full accepts opens and fails every write with ENOSPC -- the
+  // classic full-disk stand-in.  A bare result line and a record with
+  // health lines fail the same way: the record is one append.
+  const std::vector<ScenarioSpec> specs = {quick_spec("x", 1),
+                                           quick_spec("w", 2)};
+  const std::vector<std::vector<std::string>> healths = {
+      {}, {"{\"event\": \"y\"}", "{\"event\": \"z\"}"}};
+  for (std::size_t i = 0; i < healths.size(); ++i) {
+    const std::string dir = fresh_dir("ledger_disk_fault" + std::to_string(i));
+    std::error_code ec;
+    fs::create_symlink("/dev/full", ddl::scenario::journal_path(dir), ec);
+    ASSERT_FALSE(ec) << ec.message();
+
+    {
+      JobLedger ledger(specs, dir, /*resume=*/false);
+      const ExecutedScenario first = row_of(specs[0].name, true, healths[i]);
+      try {
+        ledger.commit(0, first);
+        FAIL() << "commit() on a full disk must throw JournalIoError";
+      } catch (const JournalIoError& e) {
+        EXPECT_EQ(e.error_number(), ENOSPC);
+        EXPECT_NE(std::string(e.what()).find("journal write failed"),
+                  std::string::npos)
+            << e.what();
+      }
+      // The failed commit still keeps its row.
+      EXPECT_TRUE(ledger.done(0));
+      EXPECT_EQ(ledger.line(0), first.line);
+      EXPECT_EQ(ledger.health(0), healths[i]);
+      // Fail-closed: a later commit appends nothing (an append to
+      // /dev/full would fail and throw) and keeps its row too.
+      EXPECT_NO_THROW(ledger.commit(1, row_of(specs[1].name, false)));
+      EXPECT_TRUE(ledger.done(1));
+      EXPECT_EQ(ledger.completed(), 2u);
+      EXPECT_EQ(ledger.passed(), 1u);
+    }
+
+    // Space freed (the device kept no byte): a resume sees no commit.
+    fs::remove(ddl::scenario::journal_path(dir));
+    const JobLedger resumed(specs, dir, /*resume=*/true);
+    EXPECT_EQ(resumed.restored(), 0u);
+    EXPECT_FALSE(resumed.done(0));
+    EXPECT_TRUE(resumed.health(0).empty());
+  }
+}
+
+TEST(JobLedgerTest, DuplicateNamesAreRejectedBeforeTheJournalIsCreated) {
+  const std::string dir = fresh_dir("ledger_dup") + "/journal";
+  EXPECT_THROW(JobLedger({quick_spec("dup", 1), quick_spec("dup", 2)}, dir,
+                         /*resume=*/false),
+               std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir));
+}
+
+TEST(JobLedgerTest, ConcurrentCommitsEachJournalOneRecordAndResume) {
+  // Engine workers commit concurrently (the TSan job runs this binary):
+  // every row lands in memory and as one record, and a resume restores
+  // each row byte for byte with the same counts.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 16;
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t i = 0; i < kThreads * kPerThread; ++i) {
+    specs.push_back(quick_spec("row" + std::to_string(i), i));
+  }
+  const auto health_of = [](std::size_t i) {
+    return std::vector<std::string>(
+        i % 3, "{\"event\": \"e" + std::to_string(i) + "\"}");
+  };
+  const std::string dir = fresh_dir("ledger_concurrent");
+  {
+    JobLedger ledger(specs, dir, /*resume=*/false);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t k = 0; k < kPerThread; ++k) {
+          const std::size_t i = k * kThreads + t;
+          ledger.commit(i, row_of(specs[i].name, i % 2 == 0, health_of(i)));
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ(ledger.completed(), specs.size());
+    EXPECT_EQ(ledger.passed(), specs.size() / 2);
+    EXPECT_EQ(ledger.restored(), 0u);
+  }
+  EXPECT_EQ(commits_in(ddl::scenario::journal_path(dir)), specs.size());
+
+  const JobLedger resumed(specs, dir, /*resume=*/true);
+  EXPECT_EQ(resumed.restored(), specs.size());
+  EXPECT_EQ(resumed.completed(), specs.size());
+  EXPECT_EQ(resumed.passed(), specs.size() / 2);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(resumed.line(i), row_of(specs[i].name, i % 2 == 0).line) << i;
+    EXPECT_EQ(resumed.health(i), health_of(i)) << i;
+    EXPECT_EQ(resumed.result(i).pass, i % 2 == 0) << i;
+  }
+}
+
 // ---- Isolation ------------------------------------------------------------
 
 TEST(CampaignIsolationTest, HungScenarioTimesOutAsStructuredErrorRow) {
@@ -420,9 +541,9 @@ TEST(CampaignIsolationTest, HungScenarioTimesOutAsStructuredErrorRow) {
   config.jobs = 2;
   // Generous deadline: healthy 900-period scenarios finish well inside it
   // even under sanitizer slowdown, while the hang never does.
-  config.timeout_ms = 3000;
-  config.max_retries = 1;
-  config.backoff_base_ms = 1;
+  config.isolation.timeout_ms = 3000;
+  config.isolation.max_retries = 1;
+  config.isolation.backoff_base_ms = 1;
   const auto outcome = Campaign(config).run(specs);
 
   const auto& row = outcome.results[0];
@@ -444,9 +565,9 @@ TEST(CampaignIsolationTest, TransientHangSucceedsOnRetry) {
   specs[0].debug_hang_attempts = 1;  // Only the first attempt hangs.
 
   CampaignConfig config;
-  config.timeout_ms = 3000;
-  config.max_retries = 1;
-  config.backoff_base_ms = 1;
+  config.isolation.timeout_ms = 3000;
+  config.isolation.max_retries = 1;
+  config.isolation.backoff_base_ms = 1;
   const auto outcome = Campaign(config).run(specs);
 
   EXPECT_TRUE(outcome.results[0].pass) << outcome.results[0].failure_reason;

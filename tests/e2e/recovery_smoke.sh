@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The recovery suite at one and four jobs: the result and health-event
-# streams are byte-identical across thread counts, and the health stream
+# streams are byte-identical across thread counts, the aggregate's
+# health_events counts the health stream's lines, and the health stream
 # holds the whole story -- a lock loss, a re-lock with its latency, and a
 # graceful degradation -- in the documented schema.
 #
@@ -20,6 +21,14 @@ enter_workdir "$1"
 # Results and health streams are byte-identical across thread counts.
 cmp recovery-j1.jsonl recovery-j4.jsonl
 cmp health-j1.jsonl health-j4.jsonl
+
+# The --jobs 4 run's aggregate counts every line of its health stream.
+python3 - <<'PY'
+import json
+events = json.load(open('BENCH_scenario_suite_recovery.json'))['health_events']
+lines = sum(1 for _ in open('health-j4.jsonl'))
+assert events == lines, f'health_events {events} != {lines} health lines'
+PY
 
 python3 - <<'PY'
 import json

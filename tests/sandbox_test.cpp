@@ -2,13 +2,11 @@
 // classification (SIGSEGV / SIGABRT / RLIMIT_AS / RLIMIT_CPU -> structured
 // ScenarioError rows), worker respawn, byte-identity with the in-process
 // ScenarioRunner, golden timeout rows, journaled crash rows replaying
-// byte-identically on resume, cancel interrupts, the unit engine's
-// withdraw and stop rules, and the journal writer's fail-closed disk-fault
-// handling.
+// byte-identically on resume, cancel interrupts, and the unit engine's
+// withdraw and stop rules.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <climits>
 #include <cstdio>
@@ -51,8 +49,6 @@ using ddl::scenario::CampaignConfig;
 using ddl::scenario::DispatchUnit;
 using ddl::scenario::ExecutedScenario;
 using ddl::scenario::IsolationConfig;
-using ddl::scenario::JournalIoError;
-using ddl::scenario::JournalWriter;
 using ddl::scenario::LoadSpec;
 using ddl::scenario::ScenarioError;
 using ddl::scenario::ScenarioExecutor;
@@ -135,7 +131,7 @@ TEST(SandboxTest, AbortClassifiesAsCrash) {
 #if !defined(DDL_SANDBOX_SANITIZED)
 TEST(SandboxTest, MemLimitKillClassifiesAsResourceLimit) {
   CampaignConfig config = process_config();
-  config.limits.mem_limit_mb = 256;
+  config.isolation.limits.mem_limit_mb = 256;
   const std::vector<ScenarioSpec> specs = {crashing_spec("oom"),
                                            quick_spec("after_oom", 21)};
   const auto outcome = Campaign(config).run(specs);
@@ -151,8 +147,9 @@ TEST(SandboxTest, MemLimitKillClassifiesAsResourceLimit) {
 
 TEST(SandboxTest, CpuLimitKillClassifiesAsResourceLimit) {
   CampaignConfig config = process_config();
-  config.limits.cpu_limit_s = 1;
-  config.timeout_ms = 60'000;  // The RLIMIT must fire before the watchdog.
+  config.isolation.limits.cpu_limit_s = 1;
+  // The RLIMIT must fire before the watchdog.
+  config.isolation.timeout_ms = 60'000;
   const std::vector<ScenarioSpec> specs = {crashing_spec("spin")};
   const auto outcome = Campaign(config).run(specs);
   ASSERT_EQ(outcome.results.size(), 1u);
@@ -183,9 +180,9 @@ TEST(SandboxTest, TimeoutRowIsGolden) {
   hang.debug_hang_ms = 30'000;
   hang.debug_hang_attempts = INT_MAX;
   CampaignConfig config = process_config();
-  config.timeout_ms = 200;
-  config.max_retries = 1;
-  config.backoff_base_ms = 1;
+  config.isolation.timeout_ms = 200;
+  config.isolation.max_retries = 1;
+  config.isolation.backoff_base_ms = 1;
 
   const auto outcome = Campaign(config).run({hang});
   ASSERT_EQ(outcome.results.size(), 1u);
@@ -441,44 +438,6 @@ TEST(UnitEngineTest, StopFlagRaisedAtAnyMomentStillEndsTheWait) {
     raiser.join();
     EXPECT_EQ(calls.load() + engine.stop().size(), specs.size())
         << "stop raised after " << delay_us << " us";
-  }
-}
-
-// ---- Journal disk faults --------------------------------------------------
-
-TEST(SandboxTest, JournalWriterSurfacesDiskFaultsAsStructuredErrors) {
-  // /dev/full accepts opens and fails every write with ENOSPC -- the
-  // classic full-disk stand-in.  A bare result line and a record with
-  // health lines fail the same way: the record is one append.
-  const std::vector<std::vector<std::string>> healths = {
-      {}, {"{\"event\": \"y\"}", "{\"event\": \"z\"}"}};
-  for (std::size_t i = 0; i < healths.size(); ++i) {
-    const std::string dir = fresh_dir("disk_fault" + std::to_string(i));
-    std::error_code ec;
-    fs::create_symlink("/dev/full", ddl::scenario::journal_path(dir), ec);
-    ASSERT_FALSE(ec) << ec.message();
-
-    {
-      JournalWriter writer(dir, "fingerprint", 1, /*append=*/false);
-      try {
-        writer.record("{\"name\": \"x\", \"verdict\": \"pass\"}",
-                      healths[i]);
-        FAIL() << "record() on a full disk must throw JournalIoError";
-      } catch (const JournalIoError& e) {
-        EXPECT_EQ(e.error_number(), ENOSPC);
-        EXPECT_NE(std::string(e.what()).find("journal write failed"),
-                  std::string::npos)
-            << e.what();
-      }
-      // Fail-closed: every later record throws too.
-      EXPECT_THROW(writer.record("{\"name\": \"w\"}", {}), JournalIoError);
-    }
-
-    // Space freed (the device kept no byte): a resume sees no commit.
-    fs::remove(ddl::scenario::journal_path(dir));
-    const auto state = ddl::scenario::resume_journal(dir, "fingerprint", 1);
-    EXPECT_TRUE(state.lines.empty());
-    EXPECT_TRUE(state.health.empty());
   }
 }
 

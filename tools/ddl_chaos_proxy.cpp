@@ -90,67 +90,53 @@ void apply_profile(service::ChaosProxyConfig& config,
 
 ProxyOptions parse_args(const std::vector<std::string>& args) {
   ProxyOptions options;
-  auto value_of = [&](std::size_t& i, const char* flag) -> const std::string* {
-    if (i + 1 >= args.size()) {
-      options.error = std::string(flag) + " needs a value";
-      return nullptr;
-    }
-    return &args[++i];
-  };
-  auto u64_of = [&](std::size_t& i, const char* flag, std::uint64_t& out) {
-    const std::string* text = value_of(i, flag);
-    if (text != nullptr && !scenario::parse_u64(*text, out)) {
-      options.error = std::string(flag) + ": '" + *text +
-                      "' is not an unsigned integer";
-    }
-  };
-  auto permille_of = [&](std::size_t& i, const char* flag,
-                         std::uint32_t& out) {
+  scenario::FlagReader flags(args, options.error);
+  auto permille_of = [&](const char* flag, std::uint32_t& out) {
     std::uint64_t number = 0;
-    u64_of(i, flag, number);
+    flags.u64(number);
     if (options.ok() && number > 1000) {
       options.error = std::string(flag) + ": " + std::to_string(number) +
                       " exceeds 1000 permille";
     }
     out = static_cast<std::uint32_t>(number);
   };
-  for (std::size_t i = 0; i < args.size() && options.ok(); ++i) {
-    const std::string& arg = args[i];
+  while (const std::string* flag = flags.next()) {
+    const std::string& arg = *flag;
     std::uint64_t number = 0;
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg == "--listen-port") {
-      u64_of(i, "--listen-port", number);
+      flags.u64(number);
       options.config.listen_port = static_cast<int>(number);
     } else if (arg == "--upstream-port") {
-      u64_of(i, "--upstream-port", number);
+      flags.u64(number);
       options.config.upstream_port = static_cast<int>(number);
     } else if (arg == "--upstream-host") {
-      if (const std::string* text = value_of(i, "--upstream-host")) {
+      if (const std::string* text = flags.value()) {
         options.config.upstream_host = *text;
       }
     } else if (arg == "--seed") {
-      u64_of(i, "--seed", options.config.seed);
+      flags.u64(options.config.seed);
     } else if (arg == "--profile") {
-      if (const std::string* text = value_of(i, "--profile")) {
+      if (const std::string* text = flags.value()) {
         apply_profile(options.config, *text, options.error);
       }
     } else if (arg == "--reset") {
-      permille_of(i, "--reset", options.config.p_reset_permille);
+      permille_of("--reset", options.config.p_reset_permille);
     } else if (arg == "--truncate") {
-      permille_of(i, "--truncate", options.config.p_truncate_permille);
+      permille_of("--truncate", options.config.p_truncate_permille);
     } else if (arg == "--fuzz") {
-      permille_of(i, "--fuzz", options.config.p_fuzz_permille);
+      permille_of("--fuzz", options.config.p_fuzz_permille);
     } else if (arg == "--duplicate") {
-      permille_of(i, "--duplicate", options.config.p_duplicate_permille);
+      permille_of("--duplicate", options.config.p_duplicate_permille);
     } else if (arg == "--trickle") {
-      permille_of(i, "--trickle", options.config.p_trickle_permille);
+      permille_of("--trickle", options.config.p_trickle_permille);
     } else if (arg == "--stall") {
-      permille_of(i, "--stall", options.config.p_stall_permille);
+      permille_of("--stall", options.config.p_stall_permille);
     } else if (arg == "--stall-ms") {
-      u64_of(i, "--stall-ms", options.config.stall_ms);
+      flags.u64(options.config.stall_ms);
     } else if (arg == "--chunk-bytes") {
-      u64_of(i, "--chunk-bytes", number);
+      flags.u64(number);
       if (options.ok() && number == 0) {
         options.error = "--chunk-bytes: must be positive";
       }

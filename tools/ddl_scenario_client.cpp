@@ -93,60 +93,48 @@ ClientOptions parse_args(const std::vector<std::string>& args) {
   options.config.base.heartbeat_ms = 1000;
   options.config.base.recv_timeout_ms = 30'000;
   options.config.max_attempts = 150;
-  auto value_of = [&](std::size_t& i, const char* flag) -> const std::string* {
-    if (i + 1 >= args.size()) {
-      options.error = std::string(flag) + " needs a value";
-      return nullptr;
-    }
-    return &args[++i];
-  };
-  auto u64_of = [&](std::size_t& i, const char* flag, std::uint64_t& out) {
-    const std::string* text = value_of(i, flag);
-    if (text != nullptr && !scenario::parse_u64(*text, out)) {
-      options.error = std::string(flag) + ": bad value '" + *text + "'";
-    }
-  };
-  for (std::size_t i = 0; i < args.size() && options.ok(); ++i) {
-    const std::string& arg = args[i];
+  scenario::FlagReader flags(args, options.error);
+  while (const std::string* flag = flags.next()) {
+    const std::string& arg = *flag;
     std::uint64_t number = 0;
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg == "--port") {
-      u64_of(i, "--port", number);
+      flags.u64(number);
       if (options.ok() && number > 65535) {
         options.error = "--port: " + std::to_string(number) + " out of range";
       }
       options.config.base.tcp_port = static_cast<int>(number);
     } else if (arg == "--host") {
-      if (const std::string* text = value_of(i, "--host")) {
+      if (const std::string* text = flags.value()) {
         options.config.base.host = *text;
       }
     } else if (arg == "--unix") {
-      if (const std::string* text = value_of(i, "--unix")) {
+      if (const std::string* text = flags.value()) {
         options.config.base.unix_path = *text;
       }
     } else if (arg == "--name") {
-      if (const std::string* text = value_of(i, "--name")) {
+      if (const std::string* text = flags.value()) {
         options.config.base.name = *text;
       }
     } else if (arg == "--job") {
-      if (const std::string* text = value_of(i, "--job")) {
+      if (const std::string* text = flags.value()) {
         options.job_tag = *text;
       }
     } else if (arg == "--suite") {
-      if (const std::string* text = value_of(i, "--suite")) {
+      if (const std::string* text = flags.value()) {
         options.suite = *text;
       }
     } else if (arg == "--filter") {
-      if (const std::string* text = value_of(i, "--filter")) {
+      if (const std::string* text = flags.value()) {
         options.filter = *text;
       }
     } else if (arg == "--replay") {
-      if (const std::string* text = value_of(i, "--replay")) {
+      if (const std::string* text = flags.value()) {
         options.replay_path = *text;
       }
     } else if (arg == "--inject-crash") {
-      if (const std::string* text = value_of(i, "--inject-crash")) {
+      if (const std::string* text = flags.value()) {
         const std::size_t at = text->find('@');
         options.inject_crash_kind = text->substr(0, at);
         options.inject_crash_match =
@@ -162,24 +150,24 @@ ClientOptions parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--cancel") {
       options.cancel = true;
     } else if (arg == "--out") {
-      if (const std::string* text = value_of(i, "--out")) {
+      if (const std::string* text = flags.value()) {
         options.out_path = *text;
       }
     } else if (arg == "--health-out") {
-      if (const std::string* text = value_of(i, "--health-out")) {
+      if (const std::string* text = flags.value()) {
         options.health_out_path = *text;
       }
     } else if (arg == "--heartbeat-ms") {
-      u64_of(i, "--heartbeat-ms", options.config.base.heartbeat_ms);
+      flags.u64(options.config.base.heartbeat_ms);
     } else if (arg == "--recv-timeout-ms") {
-      u64_of(i, "--recv-timeout-ms", options.config.base.recv_timeout_ms);
+      flags.u64(options.config.base.recv_timeout_ms);
     } else if (arg == "--retry-ms") {
-      u64_of(i, "--retry-ms", options.config.initial_backoff_ms);
+      flags.u64(options.config.initial_backoff_ms);
       if (options.ok() && options.config.initial_backoff_ms == 0) {
         options.config.initial_backoff_ms = 1;
       }
     } else if (arg == "--attempts") {
-      u64_of(i, "--attempts", number);
+      flags.u64(number);
       if (options.ok() && number == 0) {
         options.error = "--attempts: must be positive";
       }

@@ -18,6 +18,7 @@
 // 125 to stay clear of shell codes); 64 = usage error, 66 = file error,
 // 130 = interrupted (SIGTERM/SIGINT: in-flight scenarios finish and
 // journal, the rest stays pending -- rerun with --resume to pick them up).
+#include <algorithm>
 #include <atomic>
 #include <climits>
 #include <csignal>
@@ -217,12 +218,12 @@ int main(int argc, char** argv) {
   config.journal_dir = options.journal_dir;
   config.resume = options.resume;
   config.jobs = options.jobs;
-  config.timeout_ms = options.timeout_ms;
-  config.max_retries = options.retries;
-  config.backoff_base_ms = options.backoff_ms;
   config.stop = &g_stop;
-  config.limits.mem_limit_mb = options.mem_limit_mb;
-  config.limits.cpu_limit_s = options.cpu_limit_s;
+  config.isolation.timeout_ms = options.timeout_ms;
+  config.isolation.max_retries = options.retries;
+  config.isolation.backoff_base_ms = options.backoff_ms;
+  config.isolation.limits.mem_limit_mb = options.mem_limit_mb;
+  config.isolation.limits.cpu_limit_s = options.cpu_limit_s;
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
 
@@ -282,11 +283,11 @@ int main(int argc, char** argv) {
   report.set("failed",
              static_cast<std::uint64_t>(summary.total - summary.passed));
   report.set("locked", static_cast<std::uint64_t>(summary.locked));
-  std::size_t health_events = 0;
-  for (const auto& result : outcome.results) {
-    health_events += result.health.size();
-  }
-  report.set("health_events", static_cast<std::uint64_t>(health_events));
+  // One health line per event (the rebuilt `results` carry no events).
+  report.set("health_events",
+             static_cast<std::uint64_t>(std::count(
+                 outcome.health_jsonl.begin(), outcome.health_jsonl.end(),
+                 '\n')));
   // Campaign accounting: how the batch executed, not how it verdicted.
   report.set("executed", static_cast<std::uint64_t>(outcome.executed));
   report.set("resumed", static_cast<std::uint64_t>(outcome.resumed));

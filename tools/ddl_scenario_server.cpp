@@ -68,27 +68,14 @@ ServerOptions parse_args(const std::vector<std::string>& args) {
   // a long-running daemon wants dead-peer and slowloris defenses on.
   options.config.dead_peer_timeout_ms = 30'000;
   options.config.partial_frame_timeout_ms = 10'000;
-  auto value_of = [&](std::size_t& i, const char* flag) -> const std::string* {
-    if (i + 1 >= args.size()) {
-      options.error = std::string(flag) + " needs a value";
-      return nullptr;
-    }
-    return &args[++i];
-  };
-  auto u64_of = [&](std::size_t& i, const char* flag, std::uint64_t& out) {
-    const std::string* text = value_of(i, flag);
-    if (text != nullptr && !scenario::parse_u64(*text, out)) {
-      options.error = std::string(flag) + ": '" + *text +
-                      "' is not an unsigned integer";
-    }
-  };
-  for (std::size_t i = 0; i < args.size() && options.ok(); ++i) {
-    const std::string& arg = args[i];
+  scenario::FlagReader flags(args, options.error);
+  while (const std::string* flag = flags.next()) {
+    const std::string& arg = *flag;
     std::uint64_t number = 0;
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg == "--port") {
-      u64_of(i, "--port", number);
+      flags.u64(number);
       if (options.ok() && number > 65535) {
         options.error = "--port: " + std::to_string(number) + " out of range";
       }
@@ -96,45 +83,43 @@ ServerOptions parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--no-tcp") {
       options.config.enable_tcp = false;
     } else if (arg == "--unix") {
-      if (const std::string* text = value_of(i, "--unix")) {
+      if (const std::string* text = flags.value()) {
         options.config.unix_path = *text;
       }
     } else if (arg == "--state-dir") {
-      if (const std::string* text = value_of(i, "--state-dir")) {
+      if (const std::string* text = flags.value()) {
         options.config.state_dir = *text;
       }
     } else if (arg == "--workers") {
-      u64_of(i, "--workers", number);
+      flags.u64(number);
       options.config.workers = static_cast<std::size_t>(number);
     } else if (arg == "--max-inflight") {
-      u64_of(i, "--max-inflight", number);
+      flags.u64(number);
       options.config.max_inflight_per_client =
           static_cast<std::size_t>(number);
     } else if (arg == "--max-jobs") {
-      u64_of(i, "--max-jobs", number);
+      flags.u64(number);
       options.config.max_pending_jobs_per_client =
           static_cast<std::size_t>(number);
     } else if (arg == "--heartbeat-ms") {
-      u64_of(i, "--heartbeat-ms", options.config.heartbeat_ms);
+      flags.u64(options.config.heartbeat_ms);
     } else if (arg == "--dead-peer-timeout-ms") {
-      u64_of(i, "--dead-peer-timeout-ms",
-             options.config.dead_peer_timeout_ms);
+      flags.u64(options.config.dead_peer_timeout_ms);
     } else if (arg == "--partial-frame-timeout-ms") {
-      u64_of(i, "--partial-frame-timeout-ms",
-             options.config.partial_frame_timeout_ms);
+      flags.u64(options.config.partial_frame_timeout_ms);
     } else if (arg == "--max-outbox-mb") {
-      u64_of(i, "--max-outbox-mb", number);
+      flags.u64(number);
       options.config.max_outbox_bytes =
           static_cast<std::size_t>(number) << 20;
     } else if (arg == "--timeout-ms") {
-      u64_of(i, "--timeout-ms", options.config.isolation.timeout_ms);
+      flags.u64(options.config.isolation.timeout_ms);
     } else if (arg == "--retries") {
-      u64_of(i, "--retries", number);
+      flags.u64(number);
       options.config.isolation.max_retries = static_cast<int>(number);
     } else if (arg == "--mem-limit-mb") {
-      u64_of(i, "--mem-limit-mb", options.config.isolation.limits.mem_limit_mb);
+      flags.u64(options.config.isolation.limits.mem_limit_mb);
     } else if (arg == "--cpu-limit-s") {
-      u64_of(i, "--cpu-limit-s", options.config.isolation.limits.cpu_limit_s);
+      flags.u64(options.config.isolation.limits.cpu_limit_s);
     } else {
       options.error = "unknown flag '" + arg + "'";
     }
