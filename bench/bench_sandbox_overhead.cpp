@@ -1,5 +1,5 @@
 // Sandbox overhead probe: the smoke suite through the Campaign engine
-// (fork()ed sandbox workers, rows shipped back over the checksummed pipe
+// (spawned sandbox workers, rows shipped back over the checksummed pipe
 // framing) versus the plain in-process ScenarioRunner, both at one job.
 // The sandbox keeps one long-lived worker per executor, so the
 // per-scenario tax is spec serialization plus a pipe round trip -- the
@@ -84,7 +84,7 @@ int main() {
               "median of %d rounds) ====\n\n",
               specs.size(), repeats, kRounds);
 
-  // Warm both paths once (sizing caches, first fork) so the measured runs
+  // Warm both paths once (sizing caches, first spawn) so the measured runs
   // compare steady-state executors, not first-touch costs.
   run_inprocess(specs);
   run_sandbox(specs);
@@ -108,7 +108,7 @@ int main() {
               inprocess.wall_ms, inprocess.per_sec);
   std::printf("  sandbox campaign  : %8.1f ms  (%7.1f scenarios/sec)\n",
               sandbox.wall_ms, sandbox.per_sec);
-  std::printf("  fork/IPC efficiency: %.3f (1.0 = free; bar: >= 0.90)\n",
+  std::printf("  spawn/IPC efficiency: %.3f (1.0 = free; bar: >= 0.90)\n",
               efficiency);
   std::printf("\nIn-process and sandbox JSONL byte-identical: %s\n",
               identical ? "yes" : "NO -- SANDBOX BROKE BYTE-IDENTITY");

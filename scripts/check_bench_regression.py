@@ -75,11 +75,11 @@ SCHEMAS = {
         "guardrail_sandbox_scenarios_per_sec": lambda v: v > 0,
         "inprocess_scenarios_per_sec": lambda v: v > 0,
         "process_scenarios_per_sec": lambda v: v > 0,
-        # The fork/IPC tax bound from the acceptance criteria: the sandboxed
+        # The spawn/IPC tax bound from the acceptance criteria: the sandboxed
         # campaign may cost at most 10% scenarios/sec versus the plain
         # in-process ScenarioRunner on the same specs in the same run (the
         # sandbox keeps one long-lived worker, so the steady-state cost is
-        # a pipe round trip per dispatch unit, not a fork).
+        # a pipe round trip per dispatch unit, not a spawn).
         "sandbox_efficiency_frac": lambda v: v >= 0.90,
         # Isolation must be invisible in the stream -- same contract as
         # the batch planner.

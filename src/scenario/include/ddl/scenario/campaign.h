@@ -85,7 +85,7 @@ struct CampaignOutcome {
   std::size_t exceptions = 0; ///< Scenarios captured as kException errors.
   std::size_t skipped = 0;    ///< Scenarios never started (graceful stop).
   std::size_t sandbox_crashes = 0;   ///< Workers killed by a fatal signal.
-  std::size_t workers_respawned = 0; ///< Replacement sandbox workers forked.
+  std::size_t workers_respawned = 0; ///< Replacement sandbox workers spawned.
   std::size_t resource_kills = 0;    ///< Workers killed by RLIMIT caps.
   std::size_t workers_lost = 0;      ///< kWorkerLost rows.
   /// True when a graceful stop cut the run short: `skipped` scenarios have

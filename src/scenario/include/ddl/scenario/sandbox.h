@@ -2,9 +2,11 @@
 //
 // A ScenarioExecutor runs dispatch units for one worker thread of the unit
 // engine (engine.h) that the Campaign and the campaign service daemon
-// share.  It supervises a fork()ed *worker process*:
+// share.  It supervises a *worker process*, a fresh image of this program
+// (posix_spawn of /proc/self/exe; see spawn_worker in sandbox.cpp) in its
+// own process group, holding only stdio and its two pipe ends:
 //
-//   supervisor (this process)              worker (forked child)
+//   supervisor (this process)              worker (spawned image)
 //   ----------------------------          ---------------------------
 //   spec frames + go  ------------------>  spec_from_json_checked, run
 //                     <------------------  health / row frames
@@ -17,8 +19,8 @@
 // service uses on sockets -- so a sandboxed campaign's streams are
 // byte-identical to the in-process ScenarioRunner's.
 //
-// The point of the fork: a scenario that segfaults, aborts, blows past an
-// address-space or CPU-time cap (setrlimit inside the child), or wedges
+// The point of the worker: a scenario that segfaults, aborts, blows past
+// an address-space or CPU-time cap (setrlimit inside the worker), or wedges
 // beyond the watchdog deadline kills only the worker.  The supervisor
 // reaps it (waitpid), classifies the exit status into a structured
 // ScenarioError (kCrash / kResourceLimit / kWorkerLost / kTimeout),
@@ -43,8 +45,8 @@
 
 namespace ddl::scenario {
 
-/// Per-worker resource caps, applied via setrlimit() inside the sandbox
-/// child.
+/// Per-worker resource caps, passed in the worker's argv and applied there
+/// via setrlimit().
 struct SandboxLimits {
   /// RLIMIT_AS cap in MiB; 0 leaves the address space unlimited.
   std::uint64_t mem_limit_mb = 0;
@@ -77,7 +79,7 @@ std::uint64_t auto_timeout_ms(const ScenarioSpec& spec);
 struct SandboxCounters {
   /// Workers killed by a fatal signal (rows classified kCrash).
   std::atomic<std::size_t> crashes{0};
-  /// Fresh workers forked to replace a dead one (initial spawns excluded).
+  /// Fresh workers spawned to replace a dead one (initial spawns excluded).
   std::atomic<std::size_t> respawns{0};
   /// Workers killed by their RLIMIT_AS / RLIMIT_CPU cap (kResourceLimit).
   std::atomic<std::size_t> resource_kills{0};

@@ -279,12 +279,10 @@ struct SpecParse {
 /// Rebuilds a spec from the flat dialect: the one spec decoder.  Missing
 /// keys keep their defaults.  Never throws or aborts; collects an error for
 /// every wrong-typed field (the whole value must parse -- "8oops" is
-/// rejected, not truncated), every unparseable enum, and -- unless
-/// `allow_unknown` -- every key outside the spec dialect (typo'd field
-/// names fail loudly instead of silently keeping a default).  Sandbox
-/// worker frames pass `allow_unknown` for their own frame keys.
+/// rejected, not truncated), every unparseable enum, and every key outside
+/// the spec dialect (typo'd field names fail loudly instead of silently
+/// keeping a default).
 SpecParse spec_from_json_checked(
-    const std::map<std::string, std::string>& fields,
-    bool allow_unknown = false);
+    const std::map<std::string, std::string>& fields);
 
 }  // namespace ddl::scenario

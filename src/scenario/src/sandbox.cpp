@@ -5,14 +5,10 @@
 #include <malloc.h>
 #endif
 #include <poll.h>
+#include <spawn.h>
 #include <sys/resource.h>
-#include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/syscall.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -23,7 +19,6 @@
 #include <map>
 #include <mutex>
 #include <new>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -123,46 +118,37 @@ constexpr int kExitOom = 97;
 /// The child's protocol-failure exit code (garbage frames, broken pipe).
 constexpr int kExitProtocol = 98;
 
-SandboxLimits g_child_limits;
+/// The worker's argv[0] (see enter_worker) and its two pipe ends.
+constexpr char kWorkerArgv0[] = "ddl-sandbox-worker";
+constexpr int kWorkerReqFd = 3;
+constexpr int kWorkerRespFd = 4;
 
-void close_all_from(unsigned first) {
-#ifdef SYS_close_range
-  if (::syscall(SYS_close_range, first, ~0U, 0) == 0) {
-    return;
-  }
-#endif
-  const long open_max = ::sysconf(_SC_OPEN_MAX);
-  const long cap = open_max > 0 ? open_max : 1024;
-  for (long fd = first; fd < cap; ++fd) {
-    ::close(static_cast<int>(fd));
-  }
-}
-
-void emit_frame(int fd, const analysis::JsonObject& frame) {
+void emit_frame(const analysis::JsonObject& frame) {
   const std::string encoded = service::encode_frame(frame);
-  if (!write_all(fd, encoded.data(), encoded.size())) {
+  if (!write_all(kWorkerRespFd, encoded.data(), encoded.size())) {
     ::_exit(kExitProtocol);
   }
 }
 
-void emit_entry(int fd, std::size_t entry, const ScenarioResult& result) {
+void emit_entry(std::size_t entry, const ScenarioResult& result) {
   for (const core::HealthEvent& event : result.health) {
     analysis::JsonObject frame = service::make_frame("health");
     frame.set("entry", static_cast<std::uint64_t>(entry));
     frame.set("row", health_to_json(result, event).to_json_line());
-    emit_frame(fd, frame);
+    emit_frame(frame);
   }
   analysis::JsonObject frame = service::make_frame("row");
   frame.set("entry", static_cast<std::uint64_t>(entry));
   frame.set("row", to_json_line(result));
-  emit_frame(fd, frame);
+  emit_frame(frame);
 }
 
 /// --inject-crash execution, inside the worker where the blast radius is
 /// one process.  The fatal-signal kinds reset the disposition first so the
 /// worker dies by the *real* signal even under a sanitizer runtime that
 /// intercepts it.
-[[noreturn]] void inject_crash(const std::string& kind) {
+[[noreturn]] void inject_crash(const std::string& kind,
+                               const SandboxLimits& limits) {
   if (kind == "segv") {
     std::signal(SIGSEGV, SIG_DFL);
     ::raise(SIGSEGV);
@@ -170,7 +156,7 @@ void emit_entry(int fd, std::size_t entry, const ScenarioResult& result) {
     std::signal(SIGABRT, SIG_DFL);
     std::abort();
   } else if (kind == "oom") {
-    if (g_child_limits.mem_limit_mb == 0) {
+    if (limits.mem_limit_mb == 0) {
       // No configured cap: self-impose one so the injection cannot eat the
       // host's memory before the new-handler fires.
       ::rlimit cap{};
@@ -196,6 +182,7 @@ void emit_entry(int fd, std::size_t entry, const ScenarioResult& result) {
 }
 
 ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
+                                const SandboxLimits& limits,
                                 ScenarioWorkspace& workspace) {
   if (spec.debug_hang_ms > 0 && attempt < spec.debug_hang_attempts) {
     // Non-cooperative on purpose: the supervisor's deadline kill is the
@@ -203,7 +190,7 @@ ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
     std::this_thread::sleep_for(std::chrono::milliseconds(spec.debug_hang_ms));
   }
   if (!spec.debug_crash.empty()) {
-    inject_crash(spec.debug_crash);
+    inject_crash(spec.debug_crash, limits);
   }
   ScenarioResult result = run_scenario_guarded(spec, workspace).result;
   // Stamp the supervisor's attempt number so a retried-then-succeeded row
@@ -214,15 +201,15 @@ ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
 
 void child_run_unit(const std::vector<ScenarioSpec>& specs,
                     const std::vector<int>& attempts,
-                    ScenarioWorkspace& workspace, int resp_fd) {
+                    const SandboxLimits& limits, ScenarioWorkspace& workspace) {
   const std::size_t count = specs.size();
   if (count == 1) {
-    emit_entry(resp_fd, 0, child_run_single(specs[0], attempts[0], workspace));
+    emit_entry(0, child_run_single(specs[0], attempts[0], limits, workspace));
   } else {
     // A batch-coalesced group: same execution shape as the service's
     // in-process unit runner -- one batched dispatch per planner group,
-    // guarded scalar runs for the remainder.  threads=1 keeps the forked
-    // child single-threaded (the analysis pool runs inline at 1).
+    // guarded scalar runs for the remainder.  threads=1 keeps the worker
+    // single-threaded (the analysis pool runs inline at 1).
     std::vector<ScenarioResult> results(count);
     const BatchPlan plan = plan_batches(specs, workspace);
     for (const BatchGroup& group : plan.groups) {
@@ -230,36 +217,22 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
     }
     for (const std::size_t index : plan.scalar) {
       results[index] = child_run_single(specs[index], attempts[index],
-                                        workspace);
+                                        limits, workspace);
     }
     for (std::size_t i = 0; i < count; ++i) {
-      emit_entry(resp_fd, i, results[i]);
+      emit_entry(i, results[i]);
     }
   }
   analysis::JsonObject done = service::make_frame("unit_done");
   done.set("entries", static_cast<std::uint64_t>(count));
-  emit_frame(resp_fd, done);
+  emit_frame(done);
 }
 
-[[noreturn]] void sandbox_child_main(int req_raw, int resp_raw,
-                                     SandboxLimits limits) {
-  // Own process group: the supervisor's deadline/cancel kill is
-  // kill(-pid), sweeping anything the scenario itself spawned.
-  ::setpgid(0, 0);
-
-  // fd hygiene: park our two pipe ends on fixed fds 3/4, then close every
-  // other inherited descriptor -- in particular *sibling* sandboxes' pipe
-  // ends, which would otherwise keep their streams from ever reading EOF.
-  const int req_parked = ::fcntl(req_raw, F_DUPFD, 64);
-  const int resp_parked = ::fcntl(resp_raw, F_DUPFD, 64);
-  if (req_parked < 0 || resp_parked < 0 || ::dup2(req_parked, 3) < 0 ||
-      ::dup2(resp_parked, 4) < 0) {
-    ::_exit(kExitProtocol);
-  }
-  const int req_fd = 3;
-  const int resp_fd = 4;
-  close_all_from(5);
-
+[[noreturn]] void worker_main(SandboxLimits limits) {
+  // The supervisor ends a worker by EOF or SIGKILL; a graceful stop's
+  // SIGINT/SIGTERM must let the unit in flight finish.
+  std::signal(SIGINT, SIG_IGN);
+  std::signal(SIGTERM, SIG_IGN);
   std::signal(SIGPIPE, SIG_IGN);
 #ifdef __GLIBC__
   // A worker runs unit after unit, each allocating and freeing buffers of
@@ -272,7 +245,6 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
   ::mallopt(M_MMAP_THRESHOLD, 64 * 1024);
 #endif
   std::set_new_handler([] { ::_exit(kExitOom); });
-  g_child_limits = limits;
   if (limits.mem_limit_mb > 0) {
     ::rlimit cap{};
     cap.rlim_cur = cap.rlim_max = limits.mem_limit_mb << 20;
@@ -296,28 +268,29 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
   char buffer[65536];
   for (;;) {
     while (auto payload = reader.next()) {
-      const auto fields = service::parse_frame_payload(*payload);
+      auto fields = service::parse_frame_payload(*payload);
       if (!fields) {
         ::_exit(kExitProtocol);
       }
-      const std::string& type = field_of(*fields, "frame");
+      const std::string type = field_of(*fields, "frame");
       if (type == "spec") {
         if (index_of(*fields, "entry") != specs.size()) {
           ::_exit(kExitProtocol);
         }
-        SpecParse parsed = spec_from_json_checked(*fields,
-                                                  /*allow_unknown=*/true);
+        attempts.push_back(static_cast<int>(index_of(*fields, "attempt")));
+        for (const char* key : {"frame", "entry", "attempt"}) {
+          fields->erase(key);
+        }
+        SpecParse parsed = spec_from_json_checked(*fields);
         if (!parsed.ok()) {
           ::_exit(kExitProtocol);
         }
         specs.push_back(std::move(parsed.spec));
-        attempts.push_back(
-            static_cast<int>(index_of(*fields, "attempt")));
       } else if (type == "go") {
         if (specs.empty() || index_of(*fields, "entries") != specs.size()) {
           ::_exit(kExitProtocol);
         }
-        child_run_unit(specs, attempts, workspace, resp_fd);
+        child_run_unit(specs, attempts, limits, workspace);
         specs.clear();
         attempts.clear();
       } else {
@@ -327,7 +300,7 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
     if (reader.failed()) {
       ::_exit(kExitProtocol);
     }
-    const ssize_t n = ::read(req_fd, buffer, sizeof buffer);
+    const ssize_t n = ::read(kWorkerReqFd, buffer, sizeof buffer);
     if (n == 0) {
       ::_exit(0);  // Clean shutdown: the supervisor closed its write end.
     }
@@ -338,6 +311,15 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
       ::_exit(kExitProtocol);
     }
     reader.feed(buffer, static_cast<std::size_t>(n));
+  }
+}
+
+/// Runs before main() (glibc passes argc/argv to ELF constructors), so every
+/// program that links the sandbox is its own worker binary.
+__attribute__((constructor)) void enter_worker(int argc, char** argv) {
+  if (argc == 3 && std::strcmp(argv[0], kWorkerArgv0) == 0) {
+    worker_main({std::strtoull(argv[1], nullptr, 10),
+                 std::strtoull(argv[2], nullptr, 10)});
   }
 }
 
@@ -426,45 +408,68 @@ ExecutedScenario from_child_row(std::string row,
   return entry;
 }
 
+/// Starts a fresh image of this program as the worker, in its own process
+/// group (kill(-pid) sweeps anything the scenario spawns), holding only
+/// stdio and its pipe ends on fds 3/4.
 bool spawn_worker(ScenarioExecutor::Impl& impl) {
   static std::once_flag sigpipe_once;
   std::call_once(sigpipe_once, [] { std::signal(SIGPIPE, SIG_IGN); });
 
   int req[2] = {-1, -1};
   int resp[2] = {-1, -1};
-  if (::pipe(req) != 0) {
+  if (::pipe2(req, O_CLOEXEC) != 0) {
     return false;
   }
-  if (::pipe(resp) != 0) {
+  if (::pipe2(resp, O_CLOEXEC) != 0) {
     ::close(req[0]);
     ::close(req[1]);
     return false;
   }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(req[0]);
-    ::close(req[1]);
-    ::close(resp[0]);
-    ::close(resp[1]);
-    return false;
-  }
-  if (pid == 0) {
-    sandbox_child_main(req[0], resp[1], impl.config.limits);
-  }
-  // Best-effort from this side too, closing the window where an immediate
-  // kill(-pid) would miss a child that has not reached its own setpgid yet.
-  ::setpgid(pid, pid);
+  // Moved to fds >= 5 first: an end that is fd 3 or 4 itself (a daemon with
+  // stdin closed) would be overwritten by the dup2 of the other.
+  const int worker_req = ::fcntl(req[0], F_DUPFD_CLOEXEC, kWorkerRespFd + 1);
+  const int worker_resp = ::fcntl(resp[1], F_DUPFD_CLOEXEC, kWorkerRespFd + 1);
   ::close(req[0]);
   ::close(resp[1]);
+
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  ::posix_spawn_file_actions_adddup2(&actions, worker_req, kWorkerReqFd);
+  ::posix_spawn_file_actions_adddup2(&actions, worker_resp, kWorkerRespFd);
+  ::posix_spawn_file_actions_addclosefrom_np(&actions, kWorkerRespFd + 1);
+  posix_spawnattr_t attr;
+  ::posix_spawnattr_init(&attr);
+  sigset_t no_signals;
+  sigemptyset(&no_signals);
+  ::posix_spawnattr_setsigmask(&attr, &no_signals);
+  ::posix_spawnattr_setflags(&attr,
+                             POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGMASK);
+  std::string mem_limit = std::to_string(impl.config.limits.mem_limit_mb);
+  std::string cpu_limit = std::to_string(impl.config.limits.cpu_limit_s);
+  char* argv[] = {const_cast<char*>(kWorkerArgv0), mem_limit.data(),
+                  cpu_limit.data(), nullptr};
+  pid_t pid = -1;
+  const bool spawned =
+      worker_req >= 0 && worker_resp >= 0 &&
+      ::posix_spawn(&pid, "/proc/self/exe", &actions, &attr, argv,
+                    environ) == 0;
+  ::posix_spawnattr_destroy(&attr);
+  ::posix_spawn_file_actions_destroy(&actions);
+  ::close(worker_req);
+  ::close(worker_resp);
+  if (!spawned) {
+    ::close(req[1]);
+    ::close(resp[0]);
+    return false;
+  }
   {
     const std::lock_guard<std::mutex> lock(impl.pid_mutex);
     impl.box.pid = pid;
-    // An interrupt() that landed during the fork saw no pid to kill; its
+    // An interrupt() that landed during the spawn saw no pid to kill; its
     // flag store precedes this lock, so the kill happens here instead and
     // the unit's wait sees a dead worker it then withdraws.
     if (impl.interrupted.load(std::memory_order_relaxed)) {
       ::kill(-pid, SIGKILL);
-      ::kill(pid, SIGKILL);
     }
   }
   impl.box.req_fd = req[1];
@@ -483,7 +488,6 @@ void kill_worker(ScenarioExecutor::Impl& impl) {
   const std::lock_guard<std::mutex> lock(impl.pid_mutex);
   if (impl.box.pid > 0) {
     ::kill(-impl.box.pid, SIGKILL);
-    ::kill(impl.box.pid, SIGKILL);
   }
 }
 
@@ -538,7 +542,6 @@ void shutdown_worker(ScenarioExecutor::Impl& impl) {
     }
     if (!reaped) {
       ::kill(-pid, SIGKILL);
-      ::kill(pid, SIGKILL);
       while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
       }
     }
@@ -880,7 +883,6 @@ void ScenarioExecutor::interrupt() {
   const std::lock_guard<std::mutex> lock(impl_->pid_mutex);
   if (impl_->box.pid > 0) {
     ::kill(-impl_->box.pid, SIGKILL);
-    ::kill(impl_->box.pid, SIGKILL);
   }
 }
 

@@ -571,7 +571,7 @@ void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec) {
 }
 
 SpecParse spec_from_json_checked(
-    const std::map<std::string, std::string>& fields, bool allow_unknown) {
+    const std::map<std::string, std::string>& fields) {
   SpecParse parse;
   ScenarioSpec& spec = parse.spec;
   CheckedFields in{fields, parse.errors, {}};
@@ -657,11 +657,9 @@ SpecParse spec_from_json_checked(
   in.take("debug_throw", spec.debug_throw);
   in.take("debug_crash", spec.debug_crash);
 
-  if (!allow_unknown) {
-    for (const auto& [key, value] : fields) {
-      if (in.consumed.count(key) == 0) {
-        parse.errors.push_back(key + ": unknown key");
-      }
+  for (const auto& [key, value] : fields) {
+    if (in.consumed.count(key) == 0) {
+      parse.errors.push_back(key + ": unknown key");
     }
   }
   return parse;

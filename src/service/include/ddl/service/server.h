@@ -47,9 +47,9 @@
 // Threading: one event-loop thread owns every session and job (poll over
 // the listeners, client sockets and a self-pipe).  Units run on the same
 // scenario::UnitEngine as a Campaign (scenario/engine.h): `workers`
-// threads, each owning a fork()ed sandbox worker whose crash or
-// resource-limit death becomes a structured error row and whose process
-// group a cancel kills.  Finished units come back through the self-pipe,
+// threads, each owning a sandbox worker (a spawned fresh image of this
+// program) whose crash or resource-limit death becomes a structured error
+// row and whose process group a cancel kills.  Finished units come back through the self-pipe,
 // and the event loop commits their rows to the job's ledger.
 // `request_stop()` is async-signal-safe (atomic store + pipe write), so a
 // SIGTERM handler can trigger the graceful shutdown: the engine's stop --
@@ -133,7 +133,7 @@ struct ServiceStats {
   std::size_t batched_units = 0;
   /// Sandbox containment (see ddl/scenario/sandbox.h).
   std::size_t sandbox_crashes = 0;    ///< Workers killed by a fatal signal.
-  std::size_t workers_respawned = 0;  ///< Replacement workers forked.
+  std::size_t workers_respawned = 0;  ///< Replacement workers spawned.
   std::size_t resource_kills = 0;     ///< Workers killed by RLIMIT caps.
   std::size_t workers_lost = 0;       ///< kWorkerLost rows emitted.
   /// Journal appends that failed on a disk fault (ENOSPC/EIO); the job's

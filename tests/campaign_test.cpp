@@ -732,19 +732,13 @@ TEST(ChaosTest, SpecJsonRoundTripPreservesTheScenario) {
 }
 
 TEST(ChaosTest, SpecFromJsonRejectsUnknownEnumValues) {
-  // Rejected with or without allow_unknown: an unknown enum value is a
-  // wrong value, not an unknown key.
-  for (const bool allow_unknown : {false, true}) {
-    std::map<std::string, std::string> fields{{"architecture", "analog"}};
-    EXPECT_FALSE(
-        ddl::scenario::spec_from_json_checked(fields, allow_unknown).ok());
-    fields = {{"corner.process", "cryogenic"}};
-    EXPECT_FALSE(
-        ddl::scenario::spec_from_json_checked(fields, allow_unknown).ok());
-    fields = {{"faults.count", "1"}, {"faults.0.kind", "gremlin"}};
-    EXPECT_FALSE(
-        ddl::scenario::spec_from_json_checked(fields, allow_unknown).ok());
-  }
+  // An unknown enum value is a wrong value, not an unknown key.
+  std::map<std::string, std::string> fields{{"architecture", "analog"}};
+  EXPECT_FALSE(ddl::scenario::spec_from_json_checked(fields).ok());
+  fields = {{"corner.process", "cryogenic"}};
+  EXPECT_FALSE(ddl::scenario::spec_from_json_checked(fields).ok());
+  fields = {{"faults.count", "1"}, {"faults.0.kind", "gremlin"}};
+  EXPECT_FALSE(ddl::scenario::spec_from_json_checked(fields).ok());
 }
 
 /// The shrinker's fixture: one genuinely harmful fault (a stuck tap inside
@@ -994,11 +988,6 @@ TEST(SpecCheckedParseTest, UnknownKeysAreStructuredErrors) {
   ASSERT_EQ(parse.errors.size(), 1u);
   EXPECT_NE(parse.errors[0].find("periosd"), std::string::npos);
   EXPECT_NE(parse.errors[0].find("unknown key"), std::string::npos);
-  // allow_unknown (sandbox worker frames carry their own frame keys)
-  // ignores it and still decodes every spec key.
-  const auto lenient = ddl::scenario::spec_from_json_checked(fields, true);
-  EXPECT_TRUE(lenient.ok());
-  EXPECT_EQ(lenient.spec.periods, 2500u);
 }
 
 TEST(SpecCheckedParseTest, WrongTypedFieldsCollectPerKeyErrors) {

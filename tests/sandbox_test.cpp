@@ -2,9 +2,12 @@
 // classification (SIGSEGV / SIGABRT / RLIMIT_AS / RLIMIT_CPU -> structured
 // ScenarioError rows), worker respawn, byte-identity with the in-process
 // ScenarioRunner, golden timeout rows, journaled crash rows replaying
-// byte-identically on resume, cancel interrupts, and the unit engine's
-// withdraw and stop rules.
+// byte-identically on resume, cancel interrupts, the spawned worker's
+// descriptors and process group, and the unit engine's withdraw and stop
+// rules and its spawns under allocator contention.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -12,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <mutex>
@@ -212,7 +216,7 @@ TEST(SandboxTest, JournaledCrashRowsResumeByteIdentically) {
   EXPECT_EQ(resumed.jsonl(), original.jsonl());
   EXPECT_EQ(resumed.health_jsonl, original.health_jsonl);
   // The crash row was replayed from the journal, not re-derived: the
-  // resumed run forked no sandbox worker at all.
+  // resumed run spawned no sandbox worker at all.
   EXPECT_EQ(resumed.sandbox_crashes, 0u);
   EXPECT_EQ(resumed.workers_respawned, 0u);
 }
@@ -275,9 +279,9 @@ TEST(SandboxTest, InterruptWithdrawsTheInFlightUnit) {
 }
 
 TEST(SandboxTest, InterruptRacingTheWorkerSpawnStillWithdrawsTheUnit) {
-  // A fresh executor forks its worker lazily inside run_unit, so an
+  // A fresh executor spawns its worker lazily inside run_unit, so an
   // interrupt swept across the first few milliseconds lands before, during
-  // and after the fork.  Every landing must withdraw the unit promptly; a
+  // and after the spawn.  Every landing must withdraw the unit promptly; a
   // lost interrupt would let the hang run its full 30 s instead.
   IsolationConfig isolation;
   isolation.timeout_ms = 60'000;
@@ -298,6 +302,90 @@ TEST(SandboxTest, InterruptRacingTheWorkerSpawnStillWithdrawsTheUnit) {
     EXPECT_LT(elapsed, std::chrono::seconds(10))
         << "interrupt after " << delay_us << " us";
   }
+}
+
+/// The children of every thread of this process (a worker is the child of
+/// the thread that spawned it).
+std::vector<pid_t> children_of_this_process() {
+  std::vector<pid_t> out;
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    std::ifstream children(task.path() / "children");
+    for (pid_t pid = 0; children >> pid;) {
+      out.push_back(pid);
+    }
+  }
+  return out;
+}
+
+std::string argv0_of(pid_t pid) {
+  std::ifstream cmdline("/proc/" + std::to_string(pid) + "/cmdline");
+  std::string argv0;
+  std::getline(cmdline, argv0, '\0');
+  return argv0;
+}
+
+TEST(SandboxTest, WorkerHoldsOnlyItsPipesInItsOwnProcessGroup) {
+  // A descriptor the program opened without close-on-exec must not reach
+  // the worker: it holds stdio, its two pipe ends on 3/4, nothing else.
+  int stray[2] = {-1, -1};
+  ASSERT_EQ(::pipe(stray), 0);
+  std::set<std::string> stray_links;
+  for (int& fd : stray) {
+    // Above 4, where the worker's own dup2 onto 3/4 cannot hide a leak.
+    const int moved = ::fcntl(fd, F_DUPFD, 5);
+    ASSERT_GE(moved, 5);
+    ::close(fd);
+    fd = moved;
+    stray_links.insert(
+        fs::read_symlink("/proc/self/fd/" + std::to_string(fd)).string());
+  }
+  std::set<int> expected_fds = {3, 4};
+  for (int fd = 0; fd <= 2; ++fd) {
+    if (::fcntl(fd, F_GETFD) != -1) {
+      expected_fds.insert(fd);
+    }
+  }
+
+  IsolationConfig isolation;
+  isolation.timeout_ms = 60'000;
+  ScenarioExecutor executor(isolation);
+  ScenarioSpec hang = quick_spec("hang_for_fd_census", 45);
+  hang.debug_hang_ms = 30'000;
+  hang.debug_hang_attempts = INT_MAX;
+  std::vector<ExecutedScenario> runs;
+  std::thread runner([&] { runs = executor.run_unit({hang}); });
+
+  // The worker is the child whose argv[0] is the sentinel the spawn passes
+  // (a child still between clone and exec shows this program's argv).
+  pid_t worker = -1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (worker < 0 && std::chrono::steady_clock::now() < deadline) {
+    for (const pid_t pid : children_of_this_process()) {
+      if (argv0_of(pid) == "ddl-sandbox-worker") {
+        worker = pid;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (worker > 0) {
+    std::set<int> fds;
+    const std::string fd_dir = "/proc/" + std::to_string(worker) + "/fd";
+    for (const auto& entry : fs::directory_iterator(fd_dir)) {
+      fds.insert(std::stoi(entry.path().filename().string()));
+      EXPECT_EQ(stray_links.count(fs::read_symlink(entry.path()).string()),
+                0u)
+          << entry.path();
+    }
+    EXPECT_EQ(fds, expected_fds);
+    EXPECT_EQ(::getpgid(worker), worker);
+  }
+  executor.interrupt();
+  runner.join();
+  ::close(stray[0]);
+  ::close(stray[1]);
+  ASSERT_GT(worker, 0) << "no child with argv[0] ddl-sandbox-worker";
+  EXPECT_TRUE(runs.empty());
 }
 
 // ---- Unit engine ----------------------------------------------------------
@@ -438,6 +526,72 @@ TEST(UnitEngineTest, StopFlagRaisedAtAnyMomentStillEndsTheWait) {
     raiser.join();
     EXPECT_EQ(calls.load() + engine.stop().size(), specs.size())
         << "stop raised after " << delay_us << " us";
+  }
+}
+
+TEST(UnitEngineTest, WorkersSpawnWhileSiblingThreadsAllocate) {
+  // Workers are spawned, and crashed ones respawned, while other threads of
+  // the supervisor hold allocator locks.  A worker that inherited a held
+  // lock would hang until the watchdog retried it (an attempts: 2 row) or
+  // past the 60 s guard below.
+  std::atomic<bool> done{false};
+  std::vector<std::thread> allocators;
+  for (int t = 0; t < 3; ++t) {
+    allocators.emplace_back([&done, t] {
+      for (std::size_t size = 16; !done.load(std::memory_order_relaxed);
+           size = size * 7 % 65'536 + 16 + t) {
+        auto* block = static_cast<volatile char*>(std::malloc(size));
+        block[0] = 1;
+        std::free(const_cast<char*>(block));
+      }
+    });
+  }
+  std::promise<void> finished;
+  std::thread guard([ready = finished.get_future()] {
+    if (ready.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "engine hung while spawning workers\n");
+      std::abort();
+    }
+  });
+
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 24; ++i) {
+    specs.push_back(i % 3 == 2 ? crashing_spec("segv")
+                               : quick_spec("contended", 80 + i));
+    specs.back().name += "_" + std::to_string(i);
+  }
+  std::mutex mutex;
+  std::map<std::string, std::vector<ExecutedScenario>> rows_of;
+  {
+    UnitEngine engine(4, IsolationConfig{},
+                      [&](const DispatchUnit& unit,
+                          std::vector<ExecutedScenario> rows) {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        rows_of[unit.specs.front().name] = std::move(rows);
+                      });
+    for (const ScenarioSpec& spec : specs) {
+      engine.submit(unit_of("", spec));
+    }
+    engine.wait();
+    EXPECT_TRUE(engine.stop().empty());
+  }
+  finished.set_value();
+  guard.join();
+  done.store(true);
+  for (std::thread& thread : allocators) {
+    thread.join();
+  }
+
+  ASSERT_EQ(rows_of.size(), specs.size());
+  for (const ScenarioSpec& spec : specs) {
+    const std::vector<ExecutedScenario>& rows = rows_of[spec.name];
+    ASSERT_EQ(rows.size(), 1u) << spec.name;
+    EXPECT_EQ(rows[0].result.error, spec.debug_crash.empty()
+                                        ? ScenarioError::kNone
+                                        : ScenarioError::kCrash)
+        << rows[0].line;
+    EXPECT_EQ(rows[0].result.attempts, 1) << rows[0].line;
   }
 }
 
